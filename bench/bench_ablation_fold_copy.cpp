@@ -47,8 +47,9 @@ T linear_allreduce(parix::Proc& proc, const parix::Topology& topo, T local,
 
 int main(int argc, char** argv) {
   using namespace skil::bench;
-  const support::Cli cli(argc, argv, {"elems", "csv", "out-dir",
-                                      "metrics-out", "trace-out"});
+  const support::Cli cli =
+      parse_cli(argc, argv, {"elems", "csv", "out-dir", "metrics-out",
+                             "trace-out"});
   const int elems = cli.get_int("elems", 100000);
 
   banner("A3 -- tree fold vs linear fold; memcpy copy vs map copy");

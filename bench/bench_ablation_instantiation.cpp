@@ -46,8 +46,9 @@ double wall_seconds(const std::function<void()>& fn) {
 
 int main(int argc, char** argv) {
   using namespace skil::bench;
-  const support::Cli cli(argc, argv, {"elems", "csv", "out-dir",
-                                      "metrics-out", "trace-out"});
+  const support::Cli cli =
+      parse_cli(argc, argv, {"elems", "csv", "out-dir", "metrics-out",
+                             "trace-out"});
   const int elems = cli.get_int("elems", 200000);
   const int p = 4;
 

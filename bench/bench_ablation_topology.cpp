@@ -29,8 +29,9 @@ int main(int argc, char** argv) {
   using namespace skil;
   using namespace skil::bench;
 
-  const support::Cli cli(argc, argv, {"n", "p", "csv", "coll-csv", "out-dir",
-                                      "metrics-out", "trace-out"});
+  const support::Cli cli =
+      parse_cli(argc, argv, {"n", "p", "csv", "coll-csv", "out-dir",
+                             "metrics-out", "trace-out"});
   const int n = cli.get_int("n", 120);
   const int p = cli.get_int("p", 16);
   const std::uint64_t seed = 555;

@@ -100,8 +100,9 @@ int main(int argc, char** argv) {
   using namespace skil;
   using namespace skil::bench;
 
-  const support::Cli cli(argc, argv, {"elems", "csv", "out-dir",
-                                      "metrics-out", "trace-out"});
+  const support::Cli cli =
+      parse_cli(argc, argv, {"elems", "csv", "out-dir", "metrics-out",
+                             "trace-out"});
   const int elems = cli.get_int("elems", 65536);
 
   banner("collective zoo -- vtime per (op, algorithm, p); payload " +

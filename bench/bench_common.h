@@ -6,7 +6,11 @@
 // binary's working directory for replotting.
 #pragma once
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -19,6 +23,47 @@
 #include "support/table.h"
 
 namespace skil::bench {
+
+/// Parses a bench command line, keeping every failure inside the
+/// program: `--help` prints the accepted flags and exits 0, an unknown
+/// flag is named and exits 2, and a missing or unwritable `--out-dir`
+/// exits 2 before any work starts.
+inline support::Cli parse_cli(int argc, char** argv,
+                              std::vector<std::string> allowed) {
+  std::string program = argc > 0 ? argv[0] : "bench";
+  program.erase(0, program.rfind('/') + 1);
+  const auto usage = [&](std::FILE* to) {
+    std::fprintf(to, "usage: %s [--flag[=value] ...]\naccepted flags:",
+                 program.c_str());
+    for (const std::string& flag : allowed)
+      std::fprintf(to, " --%s", flag.c_str());
+    std::fprintf(to, "\n");
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) continue;
+    const std::string name = arg.substr(2, arg.find('=') - 2);
+    if (name == "help") {
+      usage(stdout);
+      std::exit(0);
+    }
+    if (std::find(allowed.begin(), allowed.end(), name) == allowed.end()) {
+      std::fprintf(stderr, "%s: unknown flag '--%s'\n", program.c_str(),
+                   name.c_str());
+      usage(stderr);
+      std::exit(2);
+    }
+  }
+  support::Cli cli(argc, argv, std::move(allowed));
+  const std::string dir = cli.get("out-dir", ".");
+  if (::access(dir.c_str(), W_OK | X_OK) != 0) {
+    std::fprintf(stderr,
+                 "%s: output directory '%s' is missing or not writable\n",
+                 program.c_str(), dir.c_str());
+    std::exit(2);
+  }
+  return cli;
+}
 
 /// Output path for a bench artefact.  An explicit `--<flag>=path`
 /// wins verbatim; otherwise the default file name lands in

@@ -10,8 +10,7 @@
 //                          [--baseline=secs] [--baseline-note=text]
 //                          [--reps=N] [--jobs=N|auto]
 //                          [--carriers=N|auto] [--charge=interp|tape]
-//                          [--settle=gang|closed|auto] [--fuse=off|on]
-//                          [--prof=off|counters|sampled]
+//                          [--fuse=off|on] [--prof=off|counters|sampled]
 //                          [--coll=tree|ring|rd|auto]
 //                          [--engine=threads|pooled|both] [--trace-out=dir]
 //
@@ -24,12 +23,10 @@
 // identical); --jobs=auto resolves to the host's hardware
 // concurrency.  --carriers pins the pooled engine's carrier-thread
 // count (exported as SKIL_CARRIERS so forked cell workers inherit
-// it); 'auto' resolves to hardware concurrency, >1 enables gang
-// settlement.  --charge selects the accounting path of the skeleton
-// hot loops (default: the process default, i.e. SKIL_CHARGE or tape).
-// --settle selects the ledger settlement strategy (charge_tape.h;
-// default: the process default, i.e. SKIL_SETTLE or auto) -- every
-// mode retires the identical add chain, so it moves wall time only.
+// it); 'auto' resolves to hardware concurrency.  --charge selects the
+// accounting path of the skeleton hot loops (default: the process
+// default, i.e. SKIL_CHARGE or tape) -- both paths retire the
+// identical add chain, so it moves wall time only.
 // --fuse selects the skeleton fusion mode (charge_tape.h; default:
 // the process default, i.e. SKIL_FUSE or off) -- 'on' runs the fused
 // one-pass compositions, which lowers the *virtual* times too (the
@@ -51,10 +48,11 @@
 // Chrome trace + metrics JSON (parix/metrics.h) into the directory;
 // under --prof=sampled the trace also carries the host carrier lanes.
 //
-// The JSON report (default BENCH_engine.json, schema_version 8)
+// The JSON report (default BENCH_engine.json, schema_version 9)
 // records the run configuration (reps, jobs, nproc, charge path,
-// settle mode) and per-cell wall seconds + virtual times alongside
-// both engines' totals, so EXPERIMENTS.md can cite the engine speedup
+// fuse, prof and coll modes) and per-cell wall seconds + virtual
+// times alongside both engines' totals, so EXPERIMENTS.md can cite the
+// engine speedup
 // from a committed artefact; scripts/bench_trajectory.sh appends runs
 // to it.  --baseline records an externally measured wall time of the
 // same workload (e.g. a pre-refactor build) so the improvement over
@@ -65,6 +63,12 @@
 // reads as a slowdown unless the provenance travels with it.
 //
 // Schema history:
+//   v9: one settlement path (the closed-form walk) is left, so the
+//       record drops "settle" and everything the retired batched
+//       settlement kernel reported: three settle counters (its parks,
+//       its adds, inline adds) and five scheduler fields (settle-queue
+//       enqueues, settle ns, batches, the lane histogram, settle-queue
+//       high-water).  DESIGN.md section 10 names them.
 //   v8: adds "coll" (collective-algorithm family, SKIL_COLL) and
 //       per-engine "coll_counters" (per-op calls by resolved
 //       algorithm, bytes, hop sums, rounds, order fallbacks, summed
@@ -75,7 +79,7 @@
 //   v7: adds "prof" (host profiler mode) and, when prof != off,
 //       per-engine "scheduler" (host scheduler counter totals summed
 //       over the best rep's cells: dispatches, steals, parks,
-//       settle-queue pressure, gang lane occupancy, buffer-pool hits),
+//       settle-queue pressure, batch lane occupancy, buffer-pool hits),
 //       so an engine report documents *how* the pooled runtime spent
 //       the wall it reports.  prof == off writes no scheduler block --
 //       the off path must stay observably free.
@@ -126,11 +130,11 @@ int main(int argc, char** argv) {
   using namespace skil;
   using namespace skil::bench;
 
-  const support::Cli cli(argc, argv,
-                         {"quick", "json", "out-dir", "baseline",
-                          "baseline-note", "reps", "jobs", "carriers",
-                          "charge", "settle", "fuse", "prof", "coll",
-                          "engine", "trace-out"});
+  const support::Cli cli =
+      parse_cli(argc, argv, {"quick", "json", "out-dir", "baseline",
+                             "baseline-note", "reps", "jobs", "carriers",
+                             "charge", "fuse", "prof", "coll", "engine",
+                             "trace-out"});
   const bool quick = cli.get_bool("quick");
   const double baseline_s = std::atof(cli.get("baseline", "0").c_str());
   const std::string baseline_note = cli.get("baseline-note", "unspecified");
@@ -156,21 +160,11 @@ int main(int argc, char** argv) {
   const char* charge_name =
       parix::default_charge_path() == parix::ChargePath::kTape ? "tape"
                                                                : "interp";
-  if (cli.has("settle")) {
+  if (cli.has("fuse")) {
     // Exported as well as set in-process: the in-process slot is
     // inherited across fork by the cell workers, and the env var keeps
     // any tooling that re-execs (trace viewers, wrapper scripts) on
     // the same configuration.
-    const std::string settle_arg = cli.get("settle", "auto");
-    parix::set_default_settle_mode(parix::parse_settle_mode(settle_arg));
-    ::setenv("SKIL_SETTLE", settle_arg.c_str(), 1);
-  }
-  const std::string settle_name(
-      parix::settle_mode_name(parix::default_settle_mode()));
-  if (cli.has("fuse")) {
-    // In-process slot for this process, env var for anything that
-    // re-execs (same pattern as --settle; forked cell workers inherit
-    // the in-process slot).
     const std::string fuse_arg = cli.get("fuse", "off");
     parix::set_default_fuse_mode(parix::parse_fuse_mode(fuse_arg));
     ::setenv("SKIL_FUSE", fuse_arg.c_str(), 1);
@@ -179,7 +173,7 @@ int main(int argc, char** argv) {
       parix::fuse_mode_name(parix::default_fuse_mode()));
   if (cli.has("prof")) {
     // In-process slot for this process, env var for the forked cell
-    // workers and anything that re-execs (same pattern as --settle).
+    // workers and anything that re-execs (same pattern as --fuse).
     const std::string prof_arg = cli.get("prof", "off");
     parix::set_default_prof_mode(parix::parse_prof_mode(prof_arg));
     ::setenv("SKIL_PROF", prof_arg.c_str(), 1);
@@ -188,7 +182,7 @@ int main(int argc, char** argv) {
   const std::string prof_name(parix::prof_mode_name(prof_mode));
   if (cli.has("coll")) {
     // In-process slot for this process, env var for the forked cell
-    // workers and anything that re-execs (same pattern as --settle).
+    // workers and anything that re-execs (same pattern as --fuse).
     const std::string coll_arg = cli.get("coll", "auto");
     parix::set_default_coll_mode(parix::parse_coll_mode(coll_arg));
     ::setenv("SKIL_COLL", coll_arg.c_str(), 1);
@@ -201,11 +195,11 @@ int main(int argc, char** argv) {
 
   banner("Execution engines -- wall clock on the Table 2 grid");
   std::printf("grid: n in {%d..%d}, p in {4, 16, 32, 64}; host threads: %u; "
-              "jobs: %d; carriers: %d; charge path: %s; settle: %s; "
-              "fuse: %s; prof: %s; coll: %s\n\n",
+              "jobs: %d; carriers: %d; charge path: %s; fuse: %s; "
+              "prof: %s; coll: %s\n\n",
               ns.front(), ns.back(), std::thread::hardware_concurrency(),
-              jobs, carriers, charge_name, settle_name.c_str(),
-              fuse_name.c_str(), prof_name.c_str(), coll_name.c_str());
+              jobs, carriers, charge_name, fuse_name.c_str(),
+              prof_name.c_str(), coll_name.c_str());
 
   struct EngineRun {
     const char* name;
@@ -237,45 +231,16 @@ int main(int argc, char** argv) {
     for (auto& run : runs) {
       parix::set_default_execution_engine(run.engine);
       std::fprintf(stderr, "engine %s (rep %d):\n", run.name, rep + 1);
-      const auto gang_before = parix::gang_counters();
       const auto start = std::chrono::steady_clock::now();
       auto cells = run_gauss_grid_jobs(ns, ps, seed, jobs);
       const auto stop = std::chrono::steady_clock::now();
       const double wall = std::chrono::duration<double>(stop - start).count();
-      const auto gang_after = parix::gang_counters();
-      const auto batches = gang_after.batches - gang_before.batches;
-      const auto gadds = gang_after.gang_adds - gang_before.gang_adds;
-      const auto iadds = gang_after.inline_adds - gang_before.inline_adds;
-      if (batches > 0 || iadds > 0)
-        std::fprintf(
-            stderr,
-            "  gang: %llu batches, %.2f lanes/batch, %llu M adds ganged, "
-            "%llu M adds inline\n",
-            static_cast<unsigned long long>(batches),
-            batches > 0 ? static_cast<double>(gang_after.lanes -
-                                              gang_before.lanes) /
-                              static_cast<double>(batches)
-                        : 0.0,
-            static_cast<unsigned long long>(gadds / 1000000),
-            static_cast<unsigned long long>(iadds / 1000000));
-      if (batches > 0)
-        std::fprintf(
-            stderr, "  gang rounds: %llu uniform, %llu padded (%llu M "
-            "pad slots)\n",
-            static_cast<unsigned long long>(gang_after.uniform_rounds -
-                                            gang_before.uniform_rounds),
-            static_cast<unsigned long long>(gang_after.divergent_rounds -
-                                            gang_before.divergent_rounds),
-            static_cast<unsigned long long>(
-                (gang_after.padded_slots - gang_before.padded_slots) /
-                1000000));
       const SweepSettleTotals totals = sum_settle_totals(cells);
       if (totals.total_adds() > 0)
         std::fprintf(
             stderr,
             "  settle: %llu M adds closed (%llu M memoized, %llu M "
-            "probed), %llu M chained, %llu M ganged, %llu M inline; "
-            "closed-form coverage %.1f%%\n",
+            "probed), %llu M chained; closed-form coverage %.1f%%\n",
             static_cast<unsigned long long>(
                 (totals.settle.closed_adds + totals.settle.memo_adds) /
                 1000000),
@@ -285,8 +250,6 @@ int main(int argc, char** argv) {
                                             1000000),
             static_cast<unsigned long long>(totals.settle.chain_adds /
                                             1000000),
-            static_cast<unsigned long long>(totals.gang_adds / 1000000),
-            static_cast<unsigned long long>(totals.inline_adds / 1000000),
             100.0 * totals.closed_coverage());
       if (totals.fusion.seen > 0)
         std::fprintf(
@@ -378,7 +341,7 @@ int main(int argc, char** argv) {
   if (FILE* out = std::fopen(path.c_str(), "w")) {
     std::fprintf(out,
                  "{\n"
-                 "  \"schema_version\": 8,\n"
+                 "  \"schema_version\": 9,\n"
                  "  \"benchmark\": \"bench_engine_wall\",\n"
                  "  \"grid\": \"table2_gauss%s\",\n"
                  "  \"reps\": %d,\n"
@@ -386,15 +349,13 @@ int main(int argc, char** argv) {
                  "  \"carriers\": %d,\n"
                  "  \"nproc\": %u,\n"
                  "  \"charge\": \"%s\",\n"
-                 "  \"settle\": \"%s\",\n"
                  "  \"fuse\": \"%s\",\n"
                  "  \"prof\": \"%s\",\n"
                  "  \"coll\": \"%s\",\n"
                  "  \"engines\": [\n",
                  quick ? "_quick" : "", reps, jobs, carriers,
                  std::thread::hardware_concurrency(), charge_name,
-                 settle_name.c_str(), fuse_name.c_str(), prof_name.c_str(),
-                 coll_name.c_str());
+                 fuse_name.c_str(), prof_name.c_str(), coll_name.c_str());
     for (std::size_t r = 0; r < runs.size(); ++r) {
       const EngineRun& run = runs[r];
       std::fprintf(out,
@@ -409,7 +370,7 @@ int main(int argc, char** argv) {
         const GaussCell& cell = run.cells[i];
         // Virtual times at %.17g: full double round-trip precision, so
         // two report files diff bit-identically (the CI settlement
-        // smoke compares gang vs auto reports this way).
+        // smoke compares interp vs tape reports this way).
         std::fprintf(out,
                      "%s{\"p\": %d, \"n\": %d, \"wall_seconds\": %.3f, "
                      "\"skil_vtime_s\": %.17g, \"dpfl_vtime_s\": %.17g, "
@@ -425,8 +386,7 @@ int main(int argc, char** argv) {
           "\"memo_hits\": %llu, \"memo_misses\": %llu, "
           "\"memo_adds\": %llu, \"probe_adds\": %llu, "
           "\"chain_records\": %llu, \"chain_adds\": %llu, "
-          "\"gang_parks\": %llu, \"gang_adds\": %llu, "
-          "\"inline_adds\": %llu, \"closed_coverage\": %.6f}, "
+          "\"closed_coverage\": %.6f}, "
           "\"fusion_counters\": {"
           "\"seen\": %llu, \"fused\": %llu, "
           "\"rejected_shape\": %llu, \"rejected_order\": %llu, "
@@ -440,9 +400,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(totals.settle.probe_adds),
           static_cast<unsigned long long>(totals.settle.chain_records),
           static_cast<unsigned long long>(totals.settle.chain_adds),
-          static_cast<unsigned long long>(totals.settle.gang_parks),
-          static_cast<unsigned long long>(totals.gang_adds),
-          static_cast<unsigned long long>(totals.inline_adds),
           totals.closed_coverage(),
           static_cast<unsigned long long>(totals.fusion.seen),
           static_cast<unsigned long long>(totals.fusion.fused),
@@ -489,31 +446,18 @@ int main(int argc, char** argv) {
             ", \"scheduler\": {"
             "\"fibers_run\": %llu, \"fibers_resumed\": %llu, "
             "\"steal_attempts\": %llu, \"steal_successes\": %llu, "
-            "\"steal_failed_rounds\": %llu, \"settle_enqueues\": %llu, "
-            "\"parks\": %llu, \"unparks\": %llu, "
-            "\"run_ns\": %llu, \"settle_ns\": %llu, "
-            "\"gang_batches\": %llu, \"gang_lane_hist\": [",
+            "\"steal_failed_rounds\": %llu, "
+            "\"parks\": %llu, \"unparks\": %llu, \"run_ns\": %llu, "
+            "\"pool_acquires\": %llu, \"pool_hits\": %llu, "
+            "\"pool_misses\": %llu, \"pool_bytes\": %llu}",
             static_cast<unsigned long long>(sched.fibers_run),
             static_cast<unsigned long long>(sched.fibers_resumed),
             static_cast<unsigned long long>(sched.steal_attempts),
             static_cast<unsigned long long>(sched.steal_successes),
             static_cast<unsigned long long>(sched.steal_failed_rounds),
-            static_cast<unsigned long long>(sched.settle_enqueues),
             static_cast<unsigned long long>(sched.parks),
             static_cast<unsigned long long>(sched.unparks),
             static_cast<unsigned long long>(sched.run_ns),
-            static_cast<unsigned long long>(sched.settle_ns),
-            static_cast<unsigned long long>(sched.gang_batches));
-        for (int k = 0; k < parix::kProfGangLanes; ++k)
-          std::fprintf(out, "%s%llu", k == 0 ? "" : ", ",
-                       static_cast<unsigned long long>(
-                           sched.gang_lane_hist[k]));
-        std::fprintf(
-            out,
-            "], \"settle_queue_max\": %llu, "
-            "\"pool_acquires\": %llu, \"pool_hits\": %llu, "
-            "\"pool_misses\": %llu, \"pool_bytes\": %llu}",
-            static_cast<unsigned long long>(sched.settle_queue_max),
             static_cast<unsigned long long>(sched.pool_acquires),
             static_cast<unsigned long long>(sched.pool_hits),
             static_cast<unsigned long long>(sched.pool_misses),

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace skil;
   using namespace skil::bench;
 
-  const support::Cli cli(argc, argv, {"quick", "csv", "out-dir"});
+  const support::Cli cli = parse_cli(argc, argv, {"quick", "csv", "out-dir"});
   const bool quick = cli.get_bool("quick");
   const std::uint64_t seed = 31337;
 

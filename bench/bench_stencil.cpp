@@ -41,8 +41,9 @@ int main(int argc, char** argv) {
   using namespace skil;
   using namespace skil::bench;
 
-  const support::Cli cli(argc, argv, {"cells", "steps", "csv", "out-dir",
-                                      "metrics-out", "trace-out"});
+  const support::Cli cli =
+      parse_cli(argc, argv, {"cells", "steps", "csv", "out-dir", "metrics-out",
+                             "trace-out"});
   const int cells = cli.get_int("cells", 1024);
   const int steps = cli.get_int("steps", 50);
 

@@ -43,8 +43,9 @@ int main(int argc, char** argv) {
   using namespace skil;
   using namespace skil::bench;
 
-  const support::Cli cli(argc, argv, {"n", "csv", "out-dir",
-                                      "metrics-out", "trace-out"});
+  const support::Cli cli =
+      parse_cli(argc, argv, {"n", "csv", "out-dir", "metrics-out",
+                             "trace-out"});
   // Panels must be a few KB before the chunk-pipelined ring beats the
   // binomial tree; n = 256 gives 8 KB panels on the 8x8 grid.
   const int n = cli.get_int("n", 256);

@@ -48,8 +48,9 @@ const std::vector<PaperRow> kPaper = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const support::Cli cli(argc, argv, {"n", "quick", "csv", "out-dir",
-                                      "metrics-out", "trace-out"});
+  const support::Cli cli =
+      parse_cli(argc, argv, {"n", "quick", "csv", "out-dir", "metrics-out",
+                             "trace-out"});
   const int n = cli.get_int("n", cli.get_bool("quick") ? 60 : 200);
   const std::uint64_t seed = 20260704;
 

@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   using namespace skil;
   using namespace skil::bench;
 
-  const support::Cli cli(argc, argv, {"quick", "csv", "out-dir", "jobs"});
+  const support::Cli cli =
+      parse_cli(argc, argv, {"quick", "csv", "out-dir", "jobs"});
   const bool quick = cli.get_bool("quick");
   const int jobs = std::max(1, std::atoi(cli.get("jobs", "1").c_str()));
   const std::uint64_t seed = 19960528;

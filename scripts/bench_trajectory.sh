@@ -4,15 +4,15 @@
 # Builds (if needed) and runs bench_engine_wall on the Table-2 sweep
 # under both execution engines, then appends the result as one compact
 # JSON record per line to BENCH_engine.json at the repo root.  Records
-# are schema_version 7: run config (reps, resolved jobs, carriers,
-# nproc, charge path, settle mode, fuse mode, prof mode), per-cell
-# wall seconds and virtual times per engine, every repetition's wall
-# time ("rep_wall_seconds") plus its median, the settlement counters
+# are schema_version 9: run config (reps, resolved jobs, carriers,
+# nproc, charge path, fuse mode, prof mode, coll mode), per-cell wall
+# seconds and virtual times per engine, every repetition's wall time
+# ("rep_wall_seconds") plus its median, the settlement counters
 # (closed-form coverage), the fusion counters (compositions seen /
 # fused / rejected, barriers and tape passes eliminated), the
-# scheduler totals when profiled (--prof=counters|sampled: fibers,
-# steals, parks, gang batch occupancy, pool hits), and the engine
-# totals; with --trace-out the record also names the exported
+# collective counters, the scheduler totals when profiled
+# (--prof=counters|sampled: fibers, steals, parks, pool hits), and the
+# engine totals; with --trace-out the record also names the exported
 # trace/metrics files.  scripts/validate_bench_json.py checks the
 # whole trajectory after every append.
 #
@@ -21,15 +21,13 @@
 # --reps=N for a min-of-N measurement, --jobs=N|auto for
 # process-per-cell parallelism (auto = hardware concurrency),
 # --carriers=N|auto to pin the pooled engine's carrier threads
-# (>1 enables gang settlement; exported as SKIL_CARRIERS so forked
-# cell workers inherit it), --charge=interp|tape to pin the
-# accounting path
-# (default: tape, the specialized fast path; interp is the
-# interpretive oracle), --settle=gang|closed|auto to pin the ledger
-# settlement strategy (default: auto; exported as SKIL_SETTLE),
+# (exported as SKIL_CARRIERS so forked cell workers inherit it),
+# --charge=interp|tape to pin the accounting path (default: tape, the
+# specialized fast path; interp is the interpretive oracle),
 # --fuse=off|on to select the skeleton fusion mode (default: off;
 # exported as SKIL_FUSE -- record an off/on pair at the same config
-# for the EXPERIMENTS.md W6 same-build A/B), and
+# for the EXPERIMENTS.md W6 same-build A/B), --prof and --coll as in
+# bench_engine_wall, --engine=threads|pooled to time one engine, and
 # --trace-out=DIR to re-run one representative cell under
 # SKIL_TRACE=full and write its Chrome trace + metrics JSON into DIR
 # (created if missing; the timed sweep itself stays untraced).
@@ -43,8 +41,10 @@
 # Usage: scripts/bench_trajectory.sh [--quick] [--reps=N] [--jobs=N|auto]
 #                                    [--carriers=N|auto]
 #                                    [--charge=interp|tape]
-#                                    [--settle=gang|closed|auto]
 #                                    [--fuse=off|on]
+#                                    [--prof=off|counters|sampled]
+#                                    [--coll=tree|ring|rd|auto]
+#                                    [--engine=threads|pooled|both]
 #                                    [--baseline=secs]
 #                                    [--baseline-note=text]
 #                                    [--trace-out=DIR]

@@ -33,16 +33,26 @@ FIELDS_BY_VERSION = {
     7: ["prof"],    # also per-engine scheduler iff prof != off
                     # (checked below)
     8: ["coll"],    # also per-engine coll_counters (checked below)
+    9: [],          # dropped "settle" and the retired fields below
 }
 MAX_KNOWN_VERSION = max(FIELDS_BY_VERSION)
+
+# Fields a later version dropped: field -> first version without it.
+RETIRED_FIELDS = {"settle": 9}
 
 # The settlement-counter fields every v5+ engine record must account
 # for (bench/bench_engine_wall.cpp schema history).
 SETTLE_COUNTER_FIELDS = [
     "closed_runs", "closed_adds", "memo_hits", "memo_misses", "memo_adds",
-    "probe_adds", "chain_records", "chain_adds", "gang_parks", "gang_adds",
-    "inline_adds", "closed_coverage",
+    "probe_adds", "chain_records", "chain_adds", "closed_coverage",
 ]
+
+# v5-v8 records also carry the counters of the batched settlement
+# kernel that v9 retired: three more settle counters and, when
+# profiled, five more scheduler fields (the v9 entry of the schema
+# history lists them).  Those records must still be that much wider.
+RETIRED_SETTLE_COUNTERS = 3
+RETIRED_SCHEDULER_FIELDS = 5
 
 # The fusion-counter fields every v6+ engine record must account for.
 # An off-mode record carries them too (all zero): their presence is
@@ -67,10 +77,8 @@ COLL_OP_FIELDS = ["calls", "bytes", "hops", "steps"]
 # report indistinguishable from an unprofiled build's.
 SCHEDULER_FIELDS = [
     "fibers_run", "fibers_resumed", "steal_attempts", "steal_successes",
-    "steal_failed_rounds", "settle_enqueues", "parks", "unparks",
-    "run_ns", "settle_ns", "gang_batches", "gang_lane_hist",
-    "settle_queue_max", "pool_acquires", "pool_hits", "pool_misses",
-    "pool_bytes",
+    "steal_failed_rounds", "parks", "unparks", "run_ns", "pool_acquires",
+    "pool_hits", "pool_misses", "pool_bytes",
 ]
 
 
@@ -95,6 +103,8 @@ def validate_record(path, lineno, record):
         if v > version:
             continue
         for field in fields:
+            if version >= RETIRED_FIELDS.get(field, MAX_KNOWN_VERSION + 1):
+                continue
             if field not in record:
                 fail(path, lineno,
                      f"schema_version {version} record is missing "
@@ -121,6 +131,11 @@ def validate_record(path, lineno, record):
                 if field not in counters:
                     fail(path, lineno,
                          f"v5+ settle_counters is missing '{field}'")
+            if version <= 8 and len(counters) < \
+                    len(SETTLE_COUNTER_FIELDS) + RETIRED_SETTLE_COUNTERS:
+                fail(path, lineno,
+                     "v5-v8 settle_counters is missing the retired "
+                     "batched-settlement counters")
         if version >= 6:
             fusion = engine.get("fusion_counters")
             if not isinstance(fusion, dict):
@@ -190,11 +205,11 @@ def validate_record(path, lineno, record):
                     if field not in sched:
                         fail(path, lineno,
                              f"v7+ scheduler is missing '{field}'")
-                hist = sched["gang_lane_hist"]
-                if not isinstance(hist, list) or len(hist) != 8:
+                if version <= 8 and len(sched) < \
+                        len(SCHEDULER_FIELDS) + RETIRED_SCHEDULER_FIELDS:
                     fail(path, lineno,
-                         "scheduler gang_lane_hist must be a list of 8 "
-                         "lane-occupancy counts")
+                         "v7-v8 scheduler is missing the retired "
+                         "batched-settlement fields")
                 # Conservation invariants: a violated one means the
                 # counter plumbing dropped or double-counted events.
                 if sched["steal_successes"] > sched["steal_attempts"]:
@@ -205,10 +220,6 @@ def validate_record(path, lineno, record):
                         != sched["pool_acquires"]:
                     fail(path, lineno,
                          "scheduler pool hits + misses != acquires")
-                if sum(hist) != sched["gang_batches"]:
-                    fail(path, lineno,
-                         "scheduler gang_lane_hist does not sum to "
-                         "gang_batches")
     if version >= 5 and "baseline_wall_seconds" in record \
             and "baseline_provenance" not in record:
         # Satellite of ISSUE 6: a bare baseline float invites

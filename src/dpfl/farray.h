@@ -280,7 +280,7 @@ auto fa_map_taped(MapF&& map_f, const parix::ChargeTape& tape,
   proc.replay(tape, tapped);
   // Tail charges ride the deferred ledger too: booking them eagerly
   // would settle the just-deferred replay on the spot and collapse the
-  // gang-settlement window to nothing.
+  // deferral window to nothing.
   parix::DeferredCharges deferred(proc);
   charge_apply(deferred, elems);
   charge_map_cell(deferred, elems);

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "support/env.h"
-#include "support/error.h"
 
 namespace skil::parix {
 
@@ -22,17 +21,6 @@ ChargePath initial_default_charge_path() {
 ChargePath& default_charge_path_slot() {
   static ChargePath path = initial_default_charge_path();
   return path;
-}
-
-SettleMode initial_default_settle_mode() {
-  if (const char* env = std::getenv("SKIL_SETTLE"))
-    return parse_settle_mode(env);
-  return SettleMode::kAuto;
-}
-
-SettleMode& default_settle_mode_slot() {
-  static SettleMode mode = initial_default_settle_mode();
-  return mode;
 }
 
 FuseMode initial_default_fuse_mode() {
@@ -60,30 +48,6 @@ ChargePath default_charge_path() { return default_charge_path_slot(); }
 
 void set_default_charge_path(ChargePath path) {
   default_charge_path_slot() = path;
-}
-
-SettleMode parse_settle_mode(std::string_view name) {
-  static constexpr std::string_view kNames[] = {"gang", "closed", "auto"};
-  static_assert(static_cast<int>(SettleMode::kGang) == 0 &&
-                static_cast<int>(SettleMode::kClosed) == 1 &&
-                static_cast<int>(SettleMode::kAuto) == 2);
-  return support::parse_knob<SettleMode>("SKIL_SETTLE", "settlement mode",
-                                         name, kNames);
-}
-
-std::string_view settle_mode_name(SettleMode mode) {
-  switch (mode) {
-    case SettleMode::kGang: return "gang";
-    case SettleMode::kClosed: return "closed";
-    case SettleMode::kAuto: return "auto";
-  }
-  return "?";
-}
-
-SettleMode default_settle_mode() { return default_settle_mode_slot(); }
-
-void set_default_settle_mode(SettleMode mode) {
-  default_settle_mode_slot() = mode;
 }
 
 FuseMode parse_fuse_mode(std::string_view name) {
@@ -302,7 +266,7 @@ MemoEntry* memo_lookup(std::uint64_t tape_id, std::uint32_t n, int key,
 /// and walking per the header comment.  `c` may be null (the
 /// compute_us twin chain advances through the same walk but is not
 /// double-counted: the counters track the vtime chain, matching the
-/// gang/inline counters' pending_adds semantics).
+/// ledger's pending_adds semantics).
 void advance_chain(double& acc, const double* a, std::uint32_t n,
                    std::uint64_t times, std::uint64_t tape_id,
                    const double* units, SettleLocal* c) {
@@ -413,7 +377,6 @@ std::atomic<std::uint64_t> g_memo_adds{0};
 std::atomic<std::uint64_t> g_probe_adds{0};
 std::atomic<std::uint64_t> g_chain_records{0};
 std::atomic<std::uint64_t> g_chain_adds{0};
-std::atomic<std::uint64_t> g_gang_parks{0};
 
 void flush_settle_counters(const SettleLocal& local) {
   const auto add = [](std::atomic<std::uint64_t>& counter, std::uint64_t v) {
@@ -441,12 +404,7 @@ SettleCounters settle_counters() {
   counters.probe_adds = g_probe_adds.load(std::memory_order_relaxed);
   counters.chain_records = g_chain_records.load(std::memory_order_relaxed);
   counters.chain_adds = g_chain_adds.load(std::memory_order_relaxed);
-  counters.gang_parks = g_gang_parks.load(std::memory_order_relaxed);
   return counters;
-}
-
-void note_gang_park() {
-  g_gang_parks.fetch_add(1, std::memory_order_relaxed);
 }
 
 // Fusion counters live on plain relaxed atomics (no thread-local
@@ -505,8 +463,7 @@ void ChargeLedger::settle_algebraic(double& vtime, Stats& stats) {
   SettleLocal local;
   double vt = vtime;
   double cu = stats.compute_us;
-  for (std::size_t r = head_; r < records_.size(); ++r) {
-    const Record& rec = records_[r];
+  for (const Record& rec : records_) {
     const double* a = addends_.data() + rec.first;
     const ChargeTape::Entry* e = entries_.data() + rec.first;
     for (std::uint32_t i = 0; i < rec.n; ++i)
@@ -530,238 +487,6 @@ void ChargeLedger::settle_algebraic(double& vtime, Stats& stats) {
   stats.compute_us = cu;
   flush_settle_counters(local);
   clear();
-}
-
-void ChargeLedger::settle_algebraic_prefix(double& vtime, Stats& stats) {
-  SettleLocal local;
-  double vt = vtime;
-  double cu = stats.compute_us;
-  std::size_t r = head_;
-  for (; r < records_.size(); ++r) {
-    const Record& rec = records_[r];
-    if (rec.chain_only || rec.tape_id == 0 || rec.times < kMinWalkTimes) break;
-    const double* a = addends_.data() + rec.first;
-    const ChargeTape::Entry* e = entries_.data() + rec.first;
-    for (std::uint32_t i = 0; i < rec.n; ++i)
-      stats.ops[static_cast<int>(e[i].kind)] += e[i].count * rec.times;
-    const std::uint64_t skipped = local.closed_adds + local.memo_adds;
-    advance_chain(vt, a, rec.n, rec.times, rec.tape_id, units_, &local);
-    advance_chain(cu, a, rec.n, rec.times, rec.tape_id, units_, nullptr);
-    if (local.closed_adds + local.memo_adds > skipped) ++local.closed_runs;
-    pending_adds_ -= static_cast<std::uint64_t>(rec.n) * rec.times;
-  }
-  head_ = r;
-  vtime = vt;
-  stats.compute_us = cu;
-  flush_settle_counters(local);
-  if (head_ >= records_.size()) clear();
-}
-
-namespace {
-
-// Eight double lanes in one GCC vector.  The extension lowers to
-// whatever the target offers (AVX-512, AVX2 pairs, SSE2 quads); in
-// every case lane i of a vector add is the IEEE add of lane i's
-// operands, so the packed clocks round exactly as their scalar chains
-// would.  No fast-math anywhere in the tree, so the compiler cannot
-// reassociate either.
-typedef double GangVec __attribute__((vector_size(kGangWidth * sizeof(double))));
-
-/// Per-lane settlement cursor: which record the lane is on, how many
-/// repetitions of it remain, and the lane's in-flight accumulators.
-struct LaneCursor {
-  const ChargeLedger* ledger = nullptr;
-  Stats* stats = nullptr;
-  std::size_t rec = 0;
-  std::uint64_t left = 0;
-  double vt = 0.0;
-  double cu = 0.0;
-  bool active = false;
-};
-
-/// Books the integer op counters of the lane's current record (exact,
-/// order-insensitive) and steps the cursor to the next record.
-/// Returns false when the lane's ledger is exhausted.
-bool advance_record(LaneCursor& lane) {
-  const ChargeLedger::Record& rec = lane.ledger->records()[lane.rec];
-  const ChargeTape::Entry* e = lane.ledger->entries().data() + rec.first;
-  for (std::uint32_t i = 0; i < rec.n; ++i)
-    lane.stats->ops[static_cast<int>(e[i].kind)] += e[i].count * rec.times;
-  ++lane.rec;
-  if (lane.rec == lane.ledger->records().size()) {
-    lane.active = false;
-    return false;
-  }
-  lane.left = lane.ledger->records()[lane.rec].times;
-  return true;
-}
-
-std::atomic<std::uint64_t> g_gang_batches{0};
-std::atomic<std::uint64_t> g_gang_lanes{0};
-std::atomic<std::uint64_t> g_gang_adds{0};
-std::atomic<std::uint64_t> g_inline_adds{0};
-std::atomic<std::uint64_t> g_uniform_rounds{0};
-std::atomic<std::uint64_t> g_divergent_rounds{0};
-std::atomic<std::uint64_t> g_padded_slots{0};
-
-}  // namespace
-
-GangCounters gang_counters() {
-  return GangCounters{g_gang_batches.load(std::memory_order_relaxed),
-                      g_gang_lanes.load(std::memory_order_relaxed),
-                      g_gang_adds.load(std::memory_order_relaxed),
-                      g_inline_adds.load(std::memory_order_relaxed),
-                      g_uniform_rounds.load(std::memory_order_relaxed),
-                      g_divergent_rounds.load(std::memory_order_relaxed),
-                      g_padded_slots.load(std::memory_order_relaxed)};
-}
-
-void note_inline_settle(std::uint64_t adds) {
-  g_inline_adds.fetch_add(adds, std::memory_order_relaxed);
-}
-
-// The fused loops are dominated by GangVec (8-double) adds.  The tree
-// builds for baseline x86-64, where a 64-byte vector lowers to four
-// SSE2 pairs -- and the sixteen xmm registers cannot hold both
-// accumulator vectors plus the addend row, so the chains spill to the
-// stack and the kernel loses its ILP advantage.  Function
-// multiversioning compiles the whole kernel additionally for AVX2 and
-// AVX-512F and dispatches by cpuid at load time (ifunc).  This cannot
-// move a single bit: vector addition is per-lane exact-rounded IEEE
-// addition on every x86 vector ISA, and no fast-math flag is in play,
-// so lane i's chain performs the same adds in the same order
-// regardless of which clone runs (asserted lane-vs-scalar in
-// tests/test_parix_charge_tape.cpp, which runs under whichever clone
-// the host dispatches).
-#if defined(__x86_64__) && defined(__has_attribute)
-#if __has_attribute(target_clones) && !defined(__SANITIZE_THREAD__) && \
-    !defined(__SANITIZE_ADDRESS__)
-#define SKIL_GANG_CLONES \
-  __attribute__((target_clones("default", "avx2", "avx512f")))
-#endif
-#endif
-#ifndef SKIL_GANG_CLONES
-#define SKIL_GANG_CLONES
-#endif
-
-SKIL_GANG_CLONES void gang_settle(GangLane* lanes, int k) {
-  SKIL_ASSERT(k >= 1 && k <= kGangWidth, "gang_settle: bad lane count");
-  g_gang_batches.fetch_add(1, std::memory_order_relaxed);
-  g_gang_lanes.fetch_add(static_cast<std::uint64_t>(k),
-                         std::memory_order_relaxed);
-  {
-    std::uint64_t adds = 0;
-    for (int l = 0; l < k; ++l) adds += lanes[l].ledger->pending_adds();
-    g_gang_adds.fetch_add(adds, std::memory_order_relaxed);
-  }
-  LaneCursor cur[kGangWidth];
-  int active = 0;
-  for (int l = 0; l < k; ++l) {
-    LaneCursor& lane = cur[l];
-    lane.ledger = lanes[l].ledger;
-    lane.stats = lanes[l].stats;
-    lane.vt = *lanes[l].vtime;
-    lane.cu = lanes[l].stats->compute_us;
-    // Cursors start at the ledger head: in kAuto, the walkable prefix
-    // may already have settled algebraically before the park.
-    lane.rec = lane.ledger->head();
-    if (lane.rec < lane.ledger->records().size()) {
-      lane.left = lane.ledger->records()[lane.rec].times;
-      lane.active = true;
-      ++active;
-    }
-  }
-
-  while (active > 1) {
-    // Vector round: pack the active lanes' current records transposed
-    // (A[i][l] = lane l's i-th addend) and run the fused chunk for the
-    // smallest remaining repetition count.  Lanes need NOT sit on
-    // records of one length: shorter records are padded to the round
-    // width P with 0.0 addends, and x + 0.0 is the IEEE identity for
-    // every x >= +0.0 -- which virtual clocks and compute_us always
-    // are (costs are non-negative and both start at +0.0) -- so the
-    // padded adds cannot move a lane's chain by a bit.  SPMD
-    // supersteps make equal lengths the common case; the padding is
-    // what keeps lanes fused when data distribution drifts their
-    // record sequences apart (per-repetition scalar fallbacks spend
-    // more on round bookkeeping than the adds they perform).
-    std::uint32_t P = 0;
-    std::uint64_t chunk = 0;
-    bool uniform = true;
-    for (int l = 0; l < k; ++l) {
-      if (!cur[l].active) continue;
-      const std::uint32_t rn = cur[l].ledger->records()[cur[l].rec].n;
-      if (P != 0 && rn != P) uniform = false;
-      if (rn > P) P = rn;
-      if (chunk == 0 || cur[l].left < chunk) chunk = cur[l].left;
-    }
-    (uniform ? g_uniform_rounds : g_divergent_rounds)
-        .fetch_add(1, std::memory_order_relaxed);
-    if (!uniform) {
-      std::uint64_t pads = 0;
-      for (int l = 0; l < k; ++l)
-        if (cur[l].active)
-          pads += (P - cur[l].ledger->records()[cur[l].rec].n) * chunk;
-      g_padded_slots.fetch_add(pads, std::memory_order_relaxed);
-    }
-
-    GangVec a_mat[ChargeTape::kMaxEntries];
-    GangVec vvt = {};
-    GangVec vcu = {};
-    for (std::uint32_t i = 0; i < P; ++i)
-      for (int l = 0; l < kGangWidth; ++l) {
-        const bool live = l < k && cur[l].active &&
-                          i < cur[l].ledger->records()[cur[l].rec].n;
-        a_mat[i][l] =
-            live ? cur[l].ledger->addends()[cur[l].ledger->records()[cur[l].rec]
-                                                .first +
-                                            i]
-                 : 0.0;
-      }
-    for (int l = 0; l < k; ++l) {
-      vvt[l] = cur[l].vt;
-      vcu[l] = cur[l].cu;
-    }
-    for (std::uint64_t t = 0; t < chunk; ++t)
-      for (std::uint32_t i = 0; i < P; ++i) {
-        vvt += a_mat[i];
-        vcu += a_mat[i];
-      }
-    for (int l = 0; l < k; ++l) {
-      if (!cur[l].active) continue;
-      cur[l].vt = vvt[l];
-      cur[l].cu = vcu[l];
-      cur[l].left -= chunk;
-      if (cur[l].left == 0 && !advance_record(cur[l])) --active;
-    }
-  }
-
-  // One lane left: no cross-lane ILP to mine, so finish its remaining
-  // records with the plain scalar chain.
-  for (int l = 0; l < k && active > 0; ++l) {
-    if (!cur[l].active) continue;
-    do {
-      const ChargeLedger::Record& rec = cur[l].ledger->records()[cur[l].rec];
-      const double* a = cur[l].ledger->addends().data() + rec.first;
-      double vt = cur[l].vt;
-      double cu = cur[l].cu;
-      for (std::uint64_t t = 0; t < cur[l].left; ++t)
-        for (std::uint32_t i = 0; i < rec.n; ++i) {
-          vt += a[i];
-          cu += a[i];
-        }
-      cur[l].vt = vt;
-      cur[l].cu = cu;
-      cur[l].left = 0;
-    } while (advance_record(cur[l]));
-    --active;
-  }
-
-  for (int l = 0; l < k; ++l) {
-    *lanes[l].vtime = cur[l].vt;
-    lanes[l].stats->compute_us = cur[l].cu;
-    lanes[l].ledger->clear();
-  }
 }
 
 }  // namespace skil::parix

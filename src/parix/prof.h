@@ -3,10 +3,9 @@
 //
 // The PR 3 trace layer made the *simulated* machine observable; this
 // layer observes the *host* engine underneath it: what each carrier
-// thread spent its wall time on (running fibers, stealing, settling,
-// parked), how well the gang settlement batches filled, and how the
-// BufferPool arena behaved.  Two hard rules, inherited from the trace
-// layer's off-mode discipline:
+// thread spent its wall time on (running fibers, stealing, parked) and
+// how the BufferPool arena behaved.  Two hard rules, inherited from
+// the trace layer's off-mode discipline:
 //
 //  1. Off mode costs one untaken branch per hot-path site and performs
 //     no allocation.  Every site is gated on a single relaxed atomic
@@ -46,11 +45,6 @@ std::string_view prof_mode_name(ProfMode mode);
 ProfMode default_prof_mode();
 void set_default_prof_mode(ProfMode mode);
 
-/// Lane count of the gang settlement kernel (mirrors
-/// charge_tape.h kGangWidth; pinned by a static_assert in prof.cpp so
-/// the two cannot drift apart without a compile error).
-inline constexpr int kProfGangLanes = 8;
-
 /// One carrier thread's counters.  All fields are written by the
 /// owning carrier (or under the scheduler mutex) with relaxed atomics
 /// and read by the sampler/aggregator without synchronization: every
@@ -62,30 +56,17 @@ struct alignas(64) CarrierCounters {
   std::atomic<std::uint64_t> steal_attempts{0};   ///< probes of a non-home queue
   std::atomic<std::uint64_t> steal_successes{0};  ///< fibers taken from a non-home queue
   std::atomic<std::uint64_t> steal_failed_rounds{0};  ///< full sweeps that found nothing
-  std::atomic<std::uint64_t> settle_enqueues{0};  ///< fibers parked into the gang settle queue
   std::atomic<std::uint64_t> parks{0};            ///< kParking -> kParked transitions
   std::atomic<std::uint64_t> unparks{0};          ///< kParked -> ready wakeups
   std::atomic<std::uint64_t> run_ns{0};           ///< host ns inside fiber context switches
-  std::atomic<std::uint64_t> settle_ns{0};        ///< host ns inside gang settle batches
   // Gauges for the sampler (not part of the delta report).
   std::atomic<std::int32_t> running_proc{-1};     ///< vproc id on this carrier, -1 = idle
   std::atomic<std::int32_t> queue_depth{0};       ///< ready fibers homed on this carrier
 };
 
-/// Process-wide (not per-carrier) scheduler counters: gang batch shape
-/// and the settle-queue high-water mark.  Writers hold the scheduler
-/// mutex, so plain load/store max updates are race-free.
-struct ProfGlobals {
-  std::atomic<std::uint64_t> gang_batches{0};
-  std::atomic<std::uint64_t> gang_lane_hist[kProfGangLanes] = {};
-  std::atomic<std::uint64_t> settle_queue_max{0};   ///< high-water, reset per run
-  std::atomic<std::int32_t> settle_queue_depth{0};  ///< gauge for the sampler
-};
-
 struct ProfRegistry {
   CarrierCounters* carriers = nullptr;
   int n = 0;
-  ProfGlobals globals;
 };
 
 namespace prof_detail {
@@ -147,22 +128,14 @@ struct PoolCounters {
 void prof_note_pool_acquire(bool hit, std::uint64_t bytes);
 PoolCounters prof_pool_counters();
 
-/// Resets the per-run high-water marks (settle_queue_max).  Runs are
-/// serialized by the executor, so a plain reset at run start is safe.
-void prof_reset_watermarks();
-
 /// A point-in-time copy of the registry, used for before/after deltas.
 struct RegistrySnapshot {
   struct Lane {
     std::uint64_t fibers_run, fibers_resumed;
     std::uint64_t steal_attempts, steal_successes, steal_failed_rounds;
-    std::uint64_t settle_enqueues, parks, unparks;
-    std::uint64_t run_ns, settle_ns;
+    std::uint64_t parks, unparks, run_ns;
   };
   std::vector<Lane> lanes;
-  std::uint64_t gang_batches = 0;
-  std::uint64_t gang_lane_hist[kProfGangLanes] = {};
-  std::uint64_t settle_queue_max = 0;
 };
 RegistrySnapshot prof_snapshot();
 
@@ -173,11 +146,9 @@ struct CarrierReport {
   std::uint64_t steal_attempts = 0;
   std::uint64_t steal_successes = 0;
   std::uint64_t steal_failed_rounds = 0;
-  std::uint64_t settle_enqueues = 0;
   std::uint64_t parks = 0;
   std::uint64_t unparks = 0;
   std::uint64_t run_ns = 0;
-  std::uint64_t settle_ns = 0;
 };
 
 /// The per-run scheduler report carried on RunResult and exported as
@@ -188,9 +159,6 @@ struct SchedulerReport {
   ProfMode mode = ProfMode::kOff;
   int carriers = 0;
   std::vector<CarrierReport> per_carrier;
-  std::uint64_t gang_batches = 0;
-  std::uint64_t gang_lane_hist[kProfGangLanes] = {};
-  std::uint64_t settle_queue_max = 0;
   PoolCounters pool;
   std::uint64_t memo_hits = 0;    ///< tape-memo hits (from SettleCounters)
   std::uint64_t memo_misses = 0;
@@ -206,14 +174,9 @@ struct SchedulerTotals {
   std::uint64_t steal_attempts = 0;
   std::uint64_t steal_successes = 0;
   std::uint64_t steal_failed_rounds = 0;
-  std::uint64_t settle_enqueues = 0;
   std::uint64_t parks = 0;
   std::uint64_t unparks = 0;
   std::uint64_t run_ns = 0;
-  std::uint64_t settle_ns = 0;
-  std::uint64_t gang_batches = 0;
-  std::uint64_t gang_lane_hist[kProfGangLanes] = {};
-  std::uint64_t settle_queue_max = 0;  ///< max-combined, not summed
   std::uint64_t pool_acquires = 0;
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
@@ -231,7 +194,6 @@ struct ProfSample {
   std::int32_t carrier = 0;
   std::int32_t running_proc = -1;
   std::int32_t queue_depth = 0;
-  std::int32_t settle_queue_depth = 0;
   std::uint64_t fibers_run = 0;
   std::uint64_t steal_successes = 0;
 };

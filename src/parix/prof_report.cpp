@@ -4,10 +4,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <string>
-#include <vector>
 
-#include "parix/prof.h"
 #include "support/error.h"
 
 namespace skil::parix {
@@ -37,7 +34,7 @@ void line(std::ostream& out, const char* format, ...) {
 
 }  // namespace
 
-void render_prof_report(const Value& metrics, std::ostream& out, int top_n) {
+void render_prof_report(const Value& metrics, std::ostream& out) {
   const Value* sched = metrics.find("scheduler");
   SKIL_REQUIRE(sched != nullptr,
                "skil-prof: metrics file has no 'scheduler' object -- "
@@ -56,11 +53,11 @@ void render_prof_report(const Value& metrics, std::ostream& out, int top_n) {
   out << '\n';
 
   // Per-carrier table, plus a summed totals row.
-  line(out, "carrier   util%%   settle%%      fibers   resumed"
-            "   steals ok/att    enq   parks/unparks");
-  std::uint64_t t_run = 0, t_resumed = 0, t_ok = 0, t_att = 0, t_enq = 0;
+  line(out, "carrier   util%%      fibers   resumed   steals ok/att"
+            "   parks/unparks");
+  std::uint64_t t_run = 0, t_resumed = 0, t_ok = 0, t_att = 0;
   std::uint64_t t_parks = 0, t_unparks = 0;
-  double t_run_ns = 0.0, t_settle_ns = 0.0;
+  double t_run_ns = 0.0;
   const Value* lanes = sched->find("per_carrier");
   if (lanes != nullptr && lanes->is_array()) {
     for (const Value& lane : lanes->array) {
@@ -68,32 +65,26 @@ void render_prof_report(const Value& metrics, std::ostream& out, int top_n) {
       const std::uint64_t resumed = u64(lane, "fibers_resumed");
       const std::uint64_t ok = u64(lane, "steal_successes");
       const std::uint64_t att = u64(lane, "steal_attempts");
-      const std::uint64_t enq = u64(lane, "settle_enqueues");
       const std::uint64_t parks = u64(lane, "parks");
       const std::uint64_t unparks = u64(lane, "unparks");
       const double run_ns = lane.num("run_ns", 0.0);
-      const double settle_ns = lane.num("settle_ns", 0.0);
-      line(out, "%7d %7.1f %8.1f %11" PRIu64 " %9" PRIu64 " %10" PRIu64
-                "/%-5" PRIu64 " %6" PRIu64 " %9" PRIu64 "/%-7" PRIu64,
+      line(out, "%7d %7.1f %11" PRIu64 " %9" PRIu64 " %10" PRIu64
+                "/%-5" PRIu64 " %9" PRIu64 "/%-7" PRIu64,
            static_cast<int>(lane.num("carrier", 0.0)), pct(run_ns, wall_ns),
-           pct(settle_ns, wall_ns), run, resumed, ok, att, enq, parks,
-           unparks);
+           run, resumed, ok, att, parks, unparks);
       t_run += run;
       t_resumed += resumed;
       t_ok += ok;
       t_att += att;
-      t_enq += enq;
       t_parks += parks;
       t_unparks += unparks;
       t_run_ns += run_ns;
-      t_settle_ns += settle_ns;
     }
     const double lanes_n = static_cast<double>(lanes->array.size());
-    line(out, "%7s %7.1f %8.1f %11" PRIu64 " %9" PRIu64 " %10" PRIu64
-              "/%-5" PRIu64 " %6" PRIu64 " %9" PRIu64 "/%-7" PRIu64,
-         "total", pct(t_run_ns, wall_ns * lanes_n),
-         pct(t_settle_ns, wall_ns * lanes_n), t_run, t_resumed, t_ok, t_att,
-         t_enq, t_parks, t_unparks);
+    line(out, "%7s %7.1f %11" PRIu64 " %9" PRIu64 " %10" PRIu64
+              "/%-5" PRIu64 " %9" PRIu64 "/%-7" PRIu64,
+         "total", pct(t_run_ns, wall_ns * lanes_n), t_run, t_resumed, t_ok,
+         t_att, t_parks, t_unparks);
   }
   out << '\n';
 
@@ -121,37 +112,6 @@ void render_prof_report(const Value& metrics, std::ostream& out, int top_n) {
               " acquires, %.2f MiB served)",
          pct(static_cast<double>(hits), static_cast<double>(acquires)), hits,
          acquires, pool->num("bytes", 0.0) / (1024.0 * 1024.0));
-  }
-
-  line(out, "settle queue high-water %" PRIu64, u64(*sched, "settle_queue_max"));
-
-  const std::uint64_t batches = u64(*sched, "gang_batches");
-  const Value* hist = sched->find("gang_lane_hist");
-  if (batches > 0 && hist != nullptr && hist->is_array()) {
-    out << '\n';
-    line(out, "gang batches %" PRIu64 ", lane occupancy:", batches);
-    std::string occupancy = " ";
-    char cell[64];
-    for (std::size_t i = 0; i < hist->array.size(); ++i) {
-      std::snprintf(cell, sizeof cell, "  %zu:%" PRIu64, i + 1,
-                    static_cast<std::uint64_t>(hist->array[i].number));
-      occupancy += cell;
-    }
-    out << occupancy << '\n';
-    // Top-N widest batch shapes, widest lane count first.
-    std::vector<std::pair<std::size_t, std::uint64_t>> widest;
-    for (std::size_t i = hist->array.size(); i-- > 0;) {
-      const auto count = static_cast<std::uint64_t>(hist->array[i].number);
-      if (count > 0 && static_cast<int>(widest.size()) < top_n)
-        widest.emplace_back(i + 1, count);
-    }
-    std::string tops;
-    for (const auto& [width, count] : widest) {
-      if (!tops.empty()) tops += ", ";
-      std::snprintf(cell, sizeof cell, "%zu lanes x%" PRIu64, width, count);
-      tops += cell;
-    }
-    line(out, "top-%d widest: %s", top_n, tops.c_str());
   }
 }
 

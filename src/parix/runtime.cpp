@@ -122,7 +122,6 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
   procs.reserve(config.nprocs);
   for (int p = 0; p < config.nprocs; ++p) {
     procs.push_back(std::make_unique<Proc>(machine, p));
-    procs.back()->set_settle_mode(config.settle);
     procs.back()->set_fuse_mode(config.fuse);
     procs.back()->set_coll_mode(config.coll);
   }
@@ -159,7 +158,6 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
   const bool prof_pooled = prof_on && engine == ExecutionEngine::kPooled;
   if (prof_pooled) executor_prof_prepare();
   const ProfActivation prof_active(prof_on);
-  if (prof_on) prof_reset_watermarks();
   const RegistrySnapshot prof_before =
       prof_on ? prof_snapshot() : RegistrySnapshot{};
   const PoolCounters pool_before =
@@ -173,7 +171,6 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
 
   std::exception_ptr first_failure;
   const SettleCounters settle_before = settle_counters();
-  const GangCounters gang_before = gang_counters();
   const FusionCounters fusion_before = fusion_counters();
   const auto wall_start = std::chrono::steady_clock::now();
   if (engine == ExecutionEngine::kPooled) {
@@ -217,16 +214,6 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
     result.settle.chain_records =
         s.chain_records - settle_before.chain_records;
     result.settle.chain_adds = s.chain_adds - settle_before.chain_adds;
-    result.settle.gang_parks = s.gang_parks - settle_before.gang_parks;
-    const GangCounters g = gang_counters();
-    result.gang.batches = g.batches - gang_before.batches;
-    result.gang.lanes = g.lanes - gang_before.lanes;
-    result.gang.gang_adds = g.gang_adds - gang_before.gang_adds;
-    result.gang.inline_adds = g.inline_adds - gang_before.inline_adds;
-    result.gang.uniform_rounds = g.uniform_rounds - gang_before.uniform_rounds;
-    result.gang.divergent_rounds =
-        g.divergent_rounds - gang_before.divergent_rounds;
-    result.gang.padded_slots = g.padded_slots - gang_before.padded_slots;
     const FusionCounters f = fusion_counters();
     result.fusion.seen = f.seen - fusion_before.seen;
     result.fusion.fused = f.fused - fusion_before.fused;
@@ -269,19 +256,11 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
       lane.steal_successes = now.steal_successes - before.steal_successes;
       lane.steal_failed_rounds =
           now.steal_failed_rounds - before.steal_failed_rounds;
-      lane.settle_enqueues = now.settle_enqueues - before.settle_enqueues;
       lane.parks = now.parks - before.parks;
       lane.unparks = now.unparks - before.unparks;
       lane.run_ns = now.run_ns - before.run_ns;
-      lane.settle_ns = now.settle_ns - before.settle_ns;
       sched.per_carrier.push_back(lane);
     }
-    sched.gang_batches = after.gang_batches - prof_before.gang_batches;
-    for (int i = 0; i < kProfGangLanes; ++i)
-      sched.gang_lane_hist[i] =
-          after.gang_lane_hist[i] - prof_before.gang_lane_hist[i];
-    // High-water mark, not a counter: reset at run start above.
-    sched.settle_queue_max = after.settle_queue_max;
     const PoolCounters pool_after = prof_pool_counters();
     sched.pool.acquires = pool_after.acquires - pool_before.acquires;
     sched.pool.hits = pool_after.hits - pool_before.hits;

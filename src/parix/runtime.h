@@ -63,10 +63,6 @@ struct RunConfig {
   /// a single untaken branch per communication/span site, so virtual
   /// times are bit-identical across all modes.
   TraceMode trace = default_trace_mode();
-  /// Ledger settlement strategy (charge_tape.h, SKIL_SETTLE).  Every
-  /// mode retires the identical dependent add chain, so virtual times
-  /// are bit-identical across modes.
-  SettleMode settle = default_settle_mode();
   /// Skeleton-composition fusion (charge_tape.h, SKIL_FUSE).  Unlike
   /// the knobs above this one legitimately moves virtual time: kOn
   /// runs recognised compositions as one fused pass (same array
@@ -105,8 +101,6 @@ struct RunResult {
   /// process see each other's activity; single-run processes (tests,
   /// the forked bench cells) read them as exact per-run numbers.
   SettleCounters settle;
-  /// Gang-counter delta over this run, same caveat.
-  GangCounters gang;
   /// Fusion-counter delta over this run, same caveat.  All zero under
   /// FuseMode::kOff (the off path never consults the fused variants).
   FusionCounters fusion;

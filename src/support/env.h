@@ -1,7 +1,7 @@
 // Strict parsing for the SKIL_* environment knobs.
 //
-// Every runtime knob (SKIL_ENGINE, SKIL_CHARGE, SKIL_TRACE, SKIL_SETTLE,
-// SKIL_FUSE, SKIL_PROF) follows the same contract: a closed set of
+// Every runtime knob (SKIL_ENGINE, SKIL_CHARGE, SKIL_TRACE, SKIL_FUSE,
+// SKIL_PROF, SKIL_COLL) follows the same contract: a closed set of
 // accepted spellings, and a ContractError on anything else that names
 // the variable, echoes the offending value, and lists every accepted
 // value.  A typo'd knob must never silently fall back to a default --

@@ -8,10 +8,9 @@
 //     host clocks and host counters only.
 //
 //  2. The counters are conserved.  Steal successes cannot exceed
-//     attempts, pool hits + misses must equal acquires, the gang lane
-//     histogram must sum to the batch count, and resumes cannot exceed
-//     dispatches.  A violated invariant means an instrumentation site
-//     dropped or double-counted an event.
+//     attempts, pool hits + misses must equal acquires, and resumes
+//     cannot exceed dispatches.  A violated invariant means an
+//     instrumentation site dropped or double-counted an event.
 //
 // Plus the exporter surface: the metrics JSON scheduler block appears
 // exactly when profiling is on, the merged Chrome trace carries the
@@ -193,12 +192,8 @@ TEST(ProfCounters, ConservationInvariants) {
   // Unparking is the only way out of a park this engine has.
   EXPECT_LE(unparks, parks);
 
-  // The pool ledger and the gang histogram must balance exactly.
+  // The pool ledger must balance exactly.
   EXPECT_EQ(sched.pool.hits + sched.pool.misses, sched.pool.acquires);
-  std::uint64_t hist_sum = 0;
-  for (int k = 0; k < parix::kProfGangLanes; ++k)
-    hist_sum += sched.gang_lane_hist[k];
-  EXPECT_EQ(hist_sum, sched.gang_batches);
 
   // The memo counters are surfaced from the settlement result 1:1.
   EXPECT_EQ(sched.memo_hits, run.settle.memo_hits);
@@ -279,8 +274,6 @@ TEST(ProfMetricsJson, SchedulerBlockPresentExactlyWhenProfiled) {
   for (const support::json::Value& lane : lanes.array)
     fibers += static_cast<std::uint64_t>(lane.at("fibers_run").number);
   EXPECT_GE(fibers, 4u);
-  ASSERT_TRUE(sched->at("gang_lane_hist").is_array());
-  EXPECT_EQ(sched->at("gang_lane_hist").array.size(), 8u);
   EXPECT_GE(sched->at("pool").at("acquires").number, 0.0);
 }
 
@@ -301,7 +294,6 @@ TEST(ProfChromeTrace, MergedExportCarriesHostLanes) {
   const std::string text = os.str();
   EXPECT_NE(text.find("\"host carriers\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(text.find("\"settle queue\""), std::string::npos);
 
   const support::json::Value doc = support::json::parse(text);
   const support::json::Value& events = doc.at("traceEvents");
@@ -330,7 +322,7 @@ TEST(ProfReport, RendersPinnedFixtureByteExact) {
 
   std::ostringstream rendered;
   parix::render_prof_report(support::json::parse(fixture_text.str()),
-                            rendered, /*top_n=*/3);
+                            rendered);
 
   std::ifstream golden(dir + "/report_4carriers.golden.txt");
   ASSERT_TRUE(golden.good());
