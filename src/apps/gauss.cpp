@@ -610,8 +610,9 @@ GaussResult gauss_c(int nprocs, int n, std::uint64_t seed,
       // owner-sends-to-everyone loop would serialise 63 sends'
       // software startup and is slower than the paper's reported C
       // times at small n, so their C cannot have used one).  The row
-      // width is uniform, so the size hint lets SKIL_COLL=auto take
-      // the pipelined ring for large rows.
+      // width is uniform, so every member can pass the same size hint;
+      // SKIL_COLL=auto keeps these rows on the tree, whose per-call
+      // gap beats the pipelined ring's at every Table-2 size.
       parix::broadcast(proc, topo, owner, pivrow,
                        pivrow.size() * sizeof(double));
 

@@ -36,8 +36,9 @@ MatmulResult matmul_c(int nprocs, int n, std::uint64_t seed,
 /// SUMMA (Scalable Universal Matrix Multiplication): per-step panel
 /// broadcasts along split row/column communicators instead of Cannon
 /// rotations.  Exercises Topology::split_rows/split_cols and the
-/// size-adaptive broadcast zoo (large panels ride the chunk-pipelined
-/// ring under SKIL_COLL=auto).  The fixed k order makes the product
+/// size-adaptive broadcast zoo (under SKIL_COLL=auto the large panels
+/// of small grids ride the chunk-pipelined ring, the 8 KB panels of an
+/// 8x8 grid stay on the tree).  The fixed k order makes the product
 /// bit-identical across every SKIL_COLL mode (broadcasts only move
 /// bits); it matches matmul_c up to FP summation order, since Cannon
 /// visits the k panels in a per-processor rotated order.

@@ -3,9 +3,9 @@
 // The seed runtime had exactly two communication shapes: the binomial
 // tree that reduce/broadcast walk and the torus rotations gen_mult
 // uses.  PR 9 adds ring and recursive-doubling families so each
-// collective can pick the algorithm whose modeled cost (startup alpha,
-// per-byte beta, per-hop fee -- see parix/cost_model.h) is lowest for
-// the payload size and the topology's embedding dilation.
+// collective can pick an algorithm by payload size and the topology's
+// embedding dilation, priced by the cost model (startup alpha, per-byte
+// beta, per-hop fee -- see parix/cost_model.h).
 //
 // SKIL_COLL selects the family:
 //   tree  -- the seed algorithms (binomial reduce/broadcast, gather+
@@ -17,7 +17,10 @@
 //            (halving + doubling) elementwise allreduce; broadcast
 //            stays binomial (the tree *is* the recursive-doubling
 //            shape for rooted one-to-all).
-//   auto  -- per-call argmin over the modeled costs (the default).
+//   auto  -- the default: a non-tree algorithm only where it is no
+//            worse than the tree on both one call's completion time
+//            and the per-call gap its busiest member pays, evaluated
+//            once per run and key (collectives.h, DESIGN.md section 15).
 //
 // Array results are bit-identical across all modes: scalar allreduce
 // replays the exact binomial-tree bracketing locally after an
@@ -27,8 +30,10 @@
 // mode and are pinned by per-algorithm goldens.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <unordered_map>
 
 namespace skil::parix {
 
@@ -124,6 +129,54 @@ struct CollectiveCounters {
       n += calls_for(static_cast<CollAlgo>(algo));
     return n;
   }
+};
+
+/// Everything a SKIL_COLL=auto pick depends on besides the run's cost
+/// model.  Every member of a communicator builds the same key for the
+/// same call, which is what lets a run memoize its picks.
+struct CollPickKey {
+  std::uint8_t site = 0;   ///< collective entry point (coll_detail::PickSite)
+  std::uint8_t distr = 0;  ///< Topology::kind()
+  std::uint8_t kind = 0;   ///< combine Op of an elementwise allreduce
+  std::int32_t comm = 0;   ///< Topology::comm_id()
+  std::int32_t root = 0;   ///< root rank, or kAnyRoot
+  std::uint32_t elem = 0;  ///< element bytes of a vector payload, else 0
+  std::uint64_t size = 0;  ///< elements of a vector payload, else bytes
+
+  /// Root of the entry holding a pick's root-independent gap verdict.
+  static constexpr std::int32_t kAnyRoot = -1;
+
+  bool operator==(const CollPickKey&) const = default;
+};
+
+/// A memo of SKIL_COLL=auto decisions.  Each Proc owns one, which
+/// serves its calls without locking; the run's Machine owns another,
+/// behind a mutex, so a key is evaluated once per run rather than once
+/// per member.  Both live for one run, never process-wide.
+class CollPickMemo {
+ public:
+  /// The value memoized under `key`, from `compute()` on first use.
+  template <class Compute>
+  std::uint8_t get(const CollPickKey& key, Compute&& compute) {
+    if (const auto it = map_.find(key); it != map_.end()) return it->second;
+    const std::uint8_t value = compute();
+    map_.emplace(key, value);
+    return value;
+  }
+
+ private:
+  struct Hash {
+    std::size_t operator()(const CollPickKey& k) const {
+      std::uint64_t h = k.size * 0x9E3779B97F4A7C15ULL;
+      for (const std::uint64_t field :
+           {std::uint64_t{k.site}, std::uint64_t{k.distr},
+            std::uint64_t{k.kind}, static_cast<std::uint64_t>(k.comm),
+            static_cast<std::uint64_t>(k.root), std::uint64_t{k.elem}})
+        h = (h ^ field) * 0x100000001B3ULL;
+      return static_cast<std::size_t>(h ^ (h >> 29));
+    }
+  };
+  std::unordered_map<CollPickKey, std::uint8_t, Hash> map_;
 };
 
 }  // namespace skil::parix

@@ -21,8 +21,10 @@
 // of beta*n*log p), and elementwise allreduce can run Rabenseifner's
 // recursive-halving reduce-scatter + recursive-doubling allgather or a
 // ring reduce-scatter + allgather (both halving the bandwidth term).
-// The family is picked per call from Proc::coll_mode(); kAuto compares
-// modeled costs over the embedding's actual hop distances.  Array
+// The family is picked per call from Proc::coll_mode(); kAuto dry-runs
+// the candidates over the embedding's actual hop distances and keeps
+// the tree unless another algorithm is no worse on both completion
+// time and per-call gap (see "kAuto selection" below).  Array
 // results are bit-identical in every mode: scalar allreduce replays
 // the exact binomial-tree combine bracketing locally after gathering
 // the raw contributions, and the reassociating elementwise algorithms
@@ -31,6 +33,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -90,139 +93,11 @@ void coll_send(Proc& proc, const Topology& topo, CollOp op, int dst, long tag,
   proc.send<T>(dst, tag, std::move(value));
 }
 
-// --- modeled-cost estimators for kAuto selection --------------------
-//
-// Pure functions of (topology, cost model, payload size): every
-// member computes the same estimate, so selection is uniform across
-// the communicator and cannot deadlock.  The estimates track each
-// algorithm's critical path closely enough to rank them; the pinned
-// per-algorithm vtime goldens are the ground truth.
-
-/// Worst-case physical hop count over the edges {r -> r+d (mod p)}.
-inline int max_hop_at_distance(const Topology& topo, int d) {
-  const int p = topo.nprocs();
-  int h = 1;
-  for (int r = 0; r < p; ++r)
-    h = std::max(h, topo.hops(topo.hw_of(r), topo.hw_of((r + d) % p)));
-  return h;
-}
-
-/// Worst-case physical hop count over the edges {r -> r XOR m}
-/// (recursive halving/doubling partners; p must be a power of two).
-inline int max_hop_at_xor(const Topology& topo, int m) {
-  const int p = topo.nprocs();
-  int h = 1;
-  for (int r = 0; r < p; ++r)
-    h = std::max(h, topo.hops(topo.hw_of(r), topo.hw_of(r ^ m)));
-  return h;
-}
-
-/// Critical path of a binomial tree carrying `nbytes` per edge: one
-/// serialized transfer per doubling distance.
-inline double est_tree_stages(const Topology& topo, const CostModel& cost,
-                              std::size_t nbytes) {
-  double t = 0.0;
-  for (int mask = 1; mask < topo.nprocs(); mask <<= 1)
-    t += cost.transfer_us(nbytes, max_hop_at_distance(topo, mask));
-  return t;
-}
-
-inline double est_ring_allgather(const Topology& topo, const CostModel& cost,
-                                 std::size_t item_bytes) {
-  const int p = topo.nprocs();
-  return static_cast<double>(p - 1) *
-         cost.transfer_us(item_bytes, max_hop_at_distance(topo, 1));
-}
-
-inline double est_bruck_allgather(const Topology& topo, const CostModel& cost,
-                                  std::size_t item_bytes) {
-  const int p = topo.nprocs();
-  double t = 0.0;
-  int len = 1;
-  while (len < p) {
-    const int cnt = std::min(len, p - len);
-    t += cost.transfer_us(static_cast<std::size_t>(cnt) * item_bytes + 8,
-                          max_hop_at_distance(topo, len));
-    len += cnt;
-  }
-  return t;
-}
-
-/// Seed allgather: gather onto vrank 0 (receives serialize on the
-/// root) followed by a tree broadcast of the whole vector.
-inline double est_tree_allgather(const Topology& topo, const CostModel& cost,
-                                 std::size_t item_bytes) {
-  const int p = topo.nprocs();
-  const double gather = static_cast<double>(p - 1) *
-                        (cost.recv_overhead_us +
-                         cost.transfer_us(item_bytes, 1) / 4.0);
-  return gather + est_tree_stages(
-                      topo, cost,
-                      static_cast<std::size_t>(p) * item_bytes + 8);
-}
-
 /// Number of chunks the ring-pipelined broadcast always splits into.
 /// Fixed (not size-dependent) so non-root members need no header
 /// round to learn the chunk count; empty chunks are legal.  Must not
 /// exceed Proc::kTagStride (one sub-tag per chunk).
 inline constexpr int kBcastChunks = 16;
-
-/// Pipeline bound for the chunked ring chain: the first chunk fills
-/// the whole chain link by link (each link priced at its own physical
-/// hop distance -- a single long wrap edge is paid once, not p times),
-/// then the remaining chunks drain behind it at the slowest link's
-/// rate.
-inline double est_ring_pipelined_bcast(const Topology& topo,
-                                       const CostModel& cost,
-                                       std::size_t nbytes) {
-  const int p = topo.nprocs();
-  const std::size_t chunk = nbytes / kBcastChunks + 8;
-  double fill = 0.0;
-  double bottleneck = 0.0;
-  for (int r = 0; r + 1 < p; ++r) {
-    const double t = cost.transfer_us(
-        chunk, topo.hops(topo.hw_of(r), topo.hw_of(r + 1)));
-    fill += t;
-    bottleneck = std::max(bottleneck, t);
-  }
-  return fill + static_cast<double>(kBcastChunks - 1) * bottleneck;
-}
-
-inline double est_ring_chain_bcast(const Topology& topo,
-                                   const CostModel& cost,
-                                   std::size_t nbytes) {
-  const int p = topo.nprocs();
-  double t = 0.0;
-  for (int r = 0; r + 1 < p; ++r)
-    t += cost.transfer_us(nbytes,
-                          topo.hops(topo.hw_of(r), topo.hw_of(r + 1)));
-  return t;
-}
-
-/// Ring reduce-scatter + ring allgather over n/p-sized segments.
-inline double est_ring_elems(const Topology& topo, const CostModel& cost,
-                             std::size_t nbytes) {
-  const int p = topo.nprocs();
-  return 2.0 * static_cast<double>(p - 1) *
-         cost.transfer_us(nbytes / static_cast<std::size_t>(p) + 8,
-                          max_hop_at_distance(topo, 1));
-}
-
-/// Rabenseifner: recursive halving then recursive doubling; the
-/// payload per stage halves/doubles with the partner distance.
-inline double est_rabenseifner_elems(const Topology& topo,
-                                     const CostModel& cost,
-                                     std::size_t nbytes) {
-  const int p = topo.nprocs();
-  double t = 0.0;
-  for (int mask = p / 2; mask >= 1; mask >>= 1)
-    t += 2.0 * cost.transfer_us(
-                   nbytes * static_cast<std::size_t>(mask) /
-                           static_cast<std::size_t>(p) +
-                       8,
-                   max_hop_at_xor(topo, mask));
-  return t;
-}
 
 /// Wire size of T when it is knowable from the type alone; 0 means
 /// "unknown", which keeps kAuto on the seed tree algorithms.
@@ -235,6 +110,112 @@ constexpr std::size_t wire_size_hint() {
 }
 
 inline bool is_pow2(int x) { return x > 0 && (x & (x - 1)) == 0; }
+
+/// First element of part j when n elements split into p near-equal
+/// parts: allreduce_elems' segments and the pipelined broadcast's
+/// chunks.
+inline std::size_t segment_start(std::size_t n, int p, int j) {
+  return n * static_cast<std::size_t>(j) / static_cast<std::size_t>(p);
+}
+
+// --- kAuto selection -------------------------------------------------
+//
+// A non-tree algorithm replaces the tree only when it is no worse on
+// both of these terms; among those the lowest completion time wins,
+// and ties go to the tree.
+//
+//  * completion -- one isolated call with every member entering on
+//    idle clocks, replayed through Proc::dispatch/recv's arithmetic:
+//    startup on the sender's clock, receive overhead on the
+//    receiver's, four link channels each way, store-and-forward wire
+//    time over the real root-relative edges.  For such a call it is
+//    the runtime's vtime bit for bit (tests/test_parix_coll_algos.cpp
+//    checks it against the per-algorithm goldens).
+//  * gap -- what every further call costs its busiest member: its own
+//    clock's overhead (sends x msg_startup_us + receives x
+//    recv_overhead_us) or its busiest link channel (msg_per_byte_us x
+//    bytes, its messages dealt in order onto the least loaded of four
+//    channels), whichever is larger.
+//
+// Completion alone ranks one call, but a pivot loop makes n calls and
+// pays each member's overhead every time: the 16-chunk ring finishes
+// one 5 KB pivot row sooner than the tree, yet costs every forwarder
+// 16 x (startup + receive overhead) per call where the tree's busiest
+// member pays ceil(log2 p) startups.
+//
+// Both terms are pure functions of (communicator, cost model, payload
+// size[, root]), so every member picks alike with no negotiation
+// round, and a run evaluates each key once (Proc::coll_pick): first
+// the root-independent gap verdict, then -- only if some algorithm
+// survives it -- the per-root completion dry runs.  The model lives
+// out of line in coll_pick.cpp.
+
+/// Collective entry points whose algorithm kAuto picks.
+enum class PickSite : std::uint8_t {
+  kBcastValue,      ///< one value: tree or ring chain
+  kBcastVector,     ///< hinted vector: tree or 16-chunk ring pipeline
+  kAllgather,       ///< gather + tree broadcast, ring, Bruck
+  kAllreduce,       ///< reduce + tree broadcast, ring or Bruck allgather
+  kAllreduceElems,  ///< vector tree, ring RS + AG, Rabenseifner
+};
+
+/// One step of a member's part in a call.  Peers are communicator
+/// ranks relative to the root (rooted collectives) or virtual ranks.
+struct DryStep {
+  enum Kind : std::uint8_t { kSend, kRecv, kCharge };
+  Kind kind;
+  int peer;
+  std::size_t bytes;  ///< wire bytes of a send or receive
+  double us;          ///< microseconds of a kCharge
+};
+
+/// Every member's steps of one call, in program order, member by
+/// member (schedule_for).
+class Schedule {
+ public:
+  void send(int to, std::size_t bytes) {
+    steps_.push_back({DryStep::kSend, to, bytes, 0.0});
+  }
+  void recv(int from, std::size_t bytes) {
+    steps_.push_back({DryStep::kRecv, from, bytes, 0.0});
+  }
+  void charge(double us) { steps_.push_back({DryStep::kCharge, 0, 0, us}); }
+  void end_member() { bounds_.push_back(steps_.size()); }
+
+  int members() const { return static_cast<int>(bounds_.size()) - 1; }
+  const DryStep* begin(int m) const {
+    return steps_.data() + bounds_[static_cast<std::size_t>(m)];
+  }
+  const DryStep* end(int m) const { return begin(m + 1); }
+
+ private:
+  std::vector<DryStep> steps_;
+  std::vector<std::size_t> bounds_{0};  ///< member m owns [m, m + 1)
+};
+
+/// The schedule of `algo` for the call `key` describes, on p members.
+/// Emitted by functions that mirror the algorithm implementations
+/// below message for message (coll_pick.cpp).
+Schedule schedule_for(const CollPickKey& key, CollAlgo algo, int p,
+                      const CostModel& cost);
+
+/// The gap term: the busiest member's per-call cost.
+double gap_us(const Schedule& s, const CostModel& cost);
+
+/// The completion term: replays one isolated call, every member
+/// starting on an idle clock, with Proc::dispatch's and Proc::recv's
+/// arithmetic, and returns the latest member's finishing time.
+/// Schedule ranks are relative to virtual rank `vroot`.
+double completion_us(const Schedule& s, const Topology& topo,
+                     const CostModel& cost, int vroot);
+
+/// The kAuto pick for the call `key` describes (site and payload set
+/// by the caller) on `topo`, rooted at virtual rank `vroot`.  The
+/// run's memo holds the gap verdict under the key's kAnyRoot entry, as
+/// a set of algorithm bits; a per-root entry, made only when some
+/// algorithm survives the gap term, holds the pick.
+CollAlgo pick_auto(Proc& proc, const Topology& topo, CollPickKey key,
+                   int vroot);
 
 // --- per-collective algorithm selection -----------------------------
 
@@ -250,13 +231,10 @@ CollAlgo pick_allgather(Proc& proc, const Topology& topo) {
   }
   const std::size_t item = wire_size_hint<T>();
   if (item == 0) return CollAlgo::kTree;
-  const CostModel& cost = proc.cost();
-  const double tree = est_tree_allgather(topo, cost, item);
-  const double ring = est_ring_allgather(topo, cost, item);
-  const double rd = est_bruck_allgather(topo, cost, item);
-  if (rd <= tree && rd <= ring) return CollAlgo::kRecDouble;
-  if (ring <= tree) return CollAlgo::kRing;
-  return CollAlgo::kTree;
+  CollPickKey key;
+  key.site = static_cast<std::uint8_t>(PickSite::kAllgather);
+  key.size = item;
+  return pick_auto(proc, topo, key, 0);
 }
 
 template <class T>
@@ -271,20 +249,18 @@ CollAlgo pick_allreduce(Proc& proc, const Topology& topo) {
   }
   const std::size_t item = wire_size_hint<T>();
   if (item == 0) return CollAlgo::kTree;
-  const CostModel& cost = proc.cost();
-  // Tree allreduce = reduce + broadcast, one payload per tree edge
-  // each way; the gathering algorithms pay their allgather plus a
-  // purely local fold (negligible next to message startup).
-  const double tree = 2.0 * est_tree_stages(topo, cost, item);
-  const double ring = est_ring_allgather(topo, cost, item);
-  const double rd = est_bruck_allgather(topo, cost, item);
-  if (rd <= tree && rd <= ring) return CollAlgo::kRecDouble;
-  if (ring <= tree) return CollAlgo::kRing;
-  return CollAlgo::kTree;
+  CollPickKey key;
+  key.site = static_cast<std::uint8_t>(PickSite::kAllreduce);
+  key.size = item;
+  return pick_auto(proc, topo, key, 0);
 }
 
-inline CollAlgo pick_broadcast(Proc& proc, const Topology& topo,
-                               std::size_t nbytes_hint, bool chunked) {
+/// `nbytes_hint` is the payload's size in bytes; `elem_bytes` > 0
+/// declares it a vector of that element size (chunkable into the ring
+/// pipeline), 0 a single value (ring chain).
+inline CollAlgo pick_broadcast(Proc& proc, const Topology& topo, int root_hw,
+                               std::size_t nbytes_hint,
+                               std::size_t elem_bytes) {
   if (topo.nprocs() < 2) return CollAlgo::kTree;
   switch (proc.coll_mode()) {
     case CollMode::kTree: return CollAlgo::kTree;
@@ -295,44 +271,46 @@ inline CollAlgo pick_broadcast(Proc& proc, const Topology& topo,
     case CollMode::kAuto: break;
   }
   if (nbytes_hint == 0) return CollAlgo::kTree;
-  const CostModel& cost = proc.cost();
-  const double tree = est_tree_stages(topo, cost, nbytes_hint);
-  const double ring = chunked
-                          ? est_ring_pipelined_bcast(topo, cost, nbytes_hint)
-                          : est_ring_chain_bcast(topo, cost, nbytes_hint);
-  return ring < tree ? CollAlgo::kRing : CollAlgo::kTree;
+  CollPickKey key;
+  if (elem_bytes == 0) {
+    key.site = static_cast<std::uint8_t>(PickSite::kBcastValue);
+    key.size = nbytes_hint;
+  } else {
+    key.site = static_cast<std::uint8_t>(PickSite::kBcastVector);
+    key.elem = static_cast<std::uint32_t>(elem_bytes);
+    key.size = nbytes_hint / elem_bytes;
+  }
+  return pick_auto(proc, topo, key, topo.vrank_of(root_hw));
 }
 
+/// `n` elements of `elem_bytes` each, combined at `kind`'s unit cost.
 inline CollAlgo pick_allreduce_elems(Proc& proc, const Topology& topo,
-                                     std::size_t nbytes, CollOrder order) {
+                                     std::size_t n, std::size_t elem_bytes,
+                                     Op kind, CollOrder order) {
   if (topo.nprocs() < 2) return CollAlgo::kTree;
   if (order == CollOrder::kChainOnly) {
     // The combine bracketing is part of the result; only the tree
     // preserves it.  Count the fallback when another family was asked
-    // for (kAuto would at these sizes prefer a reassociating one).
+    // for.
     if (proc.coll_mode() != CollMode::kTree)
       proc.coll_counters().order_fallbacks += 1;
     return CollAlgo::kTree;
   }
-  const int p = topo.nprocs();
   switch (proc.coll_mode()) {
     case CollMode::kTree: return CollAlgo::kTree;
     case CollMode::kRing: return CollAlgo::kRing;
     case CollMode::kRd:
       // Rabenseifner's halving/doubling needs a power of two.
-      return is_pow2(p) ? CollAlgo::kRabenseifner : CollAlgo::kTree;
+      return is_pow2(topo.nprocs()) ? CollAlgo::kRabenseifner
+                                    : CollAlgo::kTree;
     case CollMode::kAuto: break;
   }
-  const CostModel& cost = proc.cost();
-  const double tree = 2.0 * est_tree_stages(topo, cost, nbytes + 8);
-  const double ring = est_ring_elems(topo, cost, nbytes);
-  const double raben = is_pow2(p)
-                           ? est_rabenseifner_elems(topo, cost, nbytes)
-                           : tree + 1.0;
-  if (is_pow2(p) && raben <= tree && raben <= ring)
-    return CollAlgo::kRabenseifner;
-  if (ring <= tree) return CollAlgo::kRing;
-  return CollAlgo::kTree;
+  CollPickKey key;
+  key.site = static_cast<std::uint8_t>(PickSite::kAllreduceElems);
+  key.kind = static_cast<std::uint8_t>(kind);
+  key.elem = static_cast<std::uint32_t>(elem_bytes);
+  key.size = n;
+  return pick_auto(proc, topo, key, 0);
 }
 
 // --- algorithm implementations --------------------------------------
@@ -403,9 +381,8 @@ void broadcast_ring_pipelined(Proc& proc, const Topology& topo, int root_hw,
   if (w.rel == 0) {
     const std::size_t n = value.size();
     for (int c = 0; c < kBcastChunks; ++c) {
-      const std::size_t lo = n * static_cast<std::size_t>(c) / kBcastChunks;
-      const std::size_t hi =
-          n * (static_cast<std::size_t>(c) + 1) / kBcastChunks;
+      const std::size_t lo = segment_start(n, kBcastChunks, c);
+      const std::size_t hi = segment_start(n, kBcastChunks, c + 1);
       std::vector<U> chunk(value.begin() + static_cast<std::ptrdiff_t>(lo),
                            value.begin() + static_cast<std::ptrdiff_t>(hi));
       coll_send<std::vector<U>>(proc, topo, ctx, w.hw(1), tag + c,
@@ -540,7 +517,7 @@ template <class T>
 void broadcast(Proc& proc, const Topology& topo, int root_hw, T& value) {
   const TraceSpan span(proc, "broadcast");
   const CollAlgo algo = coll_detail::pick_broadcast(
-      proc, topo, coll_detail::wire_size_hint<T>(), /*chunked=*/false);
+      proc, topo, root_hw, coll_detail::wire_size_hint<T>(), 0);
   coll_detail::note_call(proc, CollOp::kBroadcast, algo);
   if (algo == CollAlgo::kRing)
     coll_detail::broadcast_ring_chain(proc, topo, root_hw, value,
@@ -552,16 +529,17 @@ void broadcast(Proc& proc, const Topology& topo, int root_hw, T& value) {
 
 /// Vector broadcast with a caller-supplied payload-size hint
 /// (`nbytes_hint` must be computed identically on every member, e.g.
-/// from a uniform partition size).  Large buffers on ring-friendly
-/// embeddings take the chunk-pipelined ring; everything else takes the
-/// binomial tree.  Only the root's `value` is read; non-root vectors
-/// are overwritten with the broadcast content.
+/// from a uniform partition size).  Under SKIL_COLL=auto, buffers large
+/// enough that the chunk-pipelined ring beats the tree on both terms of
+/// the pick take the ring; everything else takes the binomial tree.
+/// Only the root's `value` is read; non-root vectors are overwritten
+/// with the broadcast content.
 template <class U>
 void broadcast(Proc& proc, const Topology& topo, int root_hw,
                std::vector<U>& value, std::size_t nbytes_hint) {
   const TraceSpan span(proc, "broadcast");
-  const CollAlgo algo = coll_detail::pick_broadcast(proc, topo, nbytes_hint,
-                                                    /*chunked=*/true);
+  const CollAlgo algo = coll_detail::pick_broadcast(proc, topo, root_hw,
+                                                    nbytes_hint, sizeof(U));
   coll_detail::note_call(proc, CollOp::kBroadcast, algo);
   if (algo == CollAlgo::kRing)
     coll_detail::broadcast_ring_pipelined(proc, topo, root_hw, value,
@@ -631,7 +609,7 @@ std::vector<U> allreduce_elems(Proc& proc, const Topology& topo,
   const TraceSpan span(proc, "allreduce_elems");
   const Op kind = std::is_floating_point_v<U> ? Op::kFloatOp : Op::kIntOp;
   const CollAlgo algo = coll_detail::pick_allreduce_elems(
-      proc, topo, local.size() * sizeof(U), order);
+      proc, topo, local.size(), sizeof(U), kind, order);
   coll_detail::note_call(proc, CollOp::kAllreduce, algo);
   const int p = topo.nprocs();
   if (p < 2) return local;
@@ -639,9 +617,7 @@ std::vector<U> allreduce_elems(Proc& proc, const Topology& topo,
   const int me = topo.vrank_of(proc.id());
   const std::size_t n = local.size();
   // Segment j (0 <= j <= p) starts at element boundary b(j); b(p) = n.
-  const auto b = [&](int j) {
-    return n * static_cast<std::size_t>(j) / static_cast<std::size_t>(p);
-  };
+  const auto b = [&](int j) { return coll_detail::segment_start(n, p, j); };
   const auto wrap = [&](int k) { return ((k % p) + p) % p; };
 
   if (algo == CollAlgo::kRing) {

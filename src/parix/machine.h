@@ -7,10 +7,13 @@
 // mesh and inherit their link costs from it.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "parix/coll.h"
 #include "parix/cost_model.h"
 #include "parix/mailbox.h"
 
@@ -56,12 +59,23 @@ class Machine {
   /// terminates with an exception.
   void poison_all(const std::string& reason);
 
+  /// The run's memoized SKIL_COLL=auto value for `key`, from
+  /// `compute()` on first use.  Every member derives the same value
+  /// for a key, so the first to ask evaluates it for all of them.
+  template <class Compute>
+  std::uint8_t coll_pick(const CollPickKey& key, Compute&& compute) {
+    const std::lock_guard<std::mutex> lock(coll_picks_mu_);
+    return coll_picks_.get(key, compute);
+  }
+
  private:
   int nprocs_;
   CostModel cost_;
   MeshShape shape_;
   bool fiber_wait_ = false;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::mutex coll_picks_mu_;  ///< guards coll_picks_
+  CollPickMemo coll_picks_;
 };
 
 }  // namespace skil::parix

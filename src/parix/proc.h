@@ -272,6 +272,27 @@ class Proc {
   CollectiveCounters& coll_counters() { return coll_counters_; }
   const CollectiveCounters& coll_counters() const { return coll_counters_; }
 
+  /// The memoized SKIL_COLL=auto value for `key` (collectives.h): a
+  /// lock-free hit in this processor's memo, else the run's
+  /// (Machine::coll_pick), which evaluates `compute()` once for all
+  /// members.
+  template <class Compute>
+  std::uint8_t coll_pick(const CollPickKey& key, Compute&& compute) {
+    return coll_picks_.get(key,
+                           [&] { return machine_->coll_pick(key, compute); });
+  }
+
+  /// Earliest-free link channel (the T800 had four bidirectional
+  /// links; we model four independent channels per direction).
+  /// Public so the collectives' dry run (collectives.h) books its
+  /// messages onto channels exactly as dispatch and recv do.
+  static double& earliest(std::array<double, 4>& channels) {
+    double* best = &channels[0];
+    for (double& ch : channels)
+      if (ch < *best) best = &ch;
+    return *best;
+  }
+
   /// True when a fused taped variant may run: fusion is requested AND
   /// the taped charge path is active.  The fused loops replay fused
   /// tapes, so the interpretive oracle (SKIL_CHARGE=interp) always
@@ -348,14 +369,6 @@ class Proc {
   Machine* machine_;
   int id_;
   int nprocs_;
-  /// Earliest-free link channel (the T800 had four bidirectional
-  /// links; we model four independent channels per direction).
-  static double& earliest(std::array<double, 4>& channels) {
-    double* best = &channels[0];
-    for (double& ch : channels)
-      if (ch < *best) best = &ch;
-    return *best;
-  }
 
   double vtime_ = 0.0;
   std::array<double, kOpKinds> unit_{};
@@ -372,6 +385,8 @@ class Proc {
   /// Collective statistics (parix/coll.h); never read by the cost
   /// model, so recording them cannot perturb virtual time.
   CollectiveCounters coll_counters_;
+  /// SKIL_COLL=auto decisions this processor has looked up.
+  CollPickMemo coll_picks_;
   /// Per-proc trace recorder; nullptr (the default) keeps every trace
   /// hook down to one untaken branch so vtimes stay bit-identical.
   ProcTrace* trace_ = nullptr;

@@ -55,8 +55,9 @@ void array_broadcast_part(DistArray<T>& a, Index ix) {
   std::vector<T> part;
   if (a.proc().id() == root_hw) part = a.local();
   // Partitions are uniform (REQUIREd above), so every processor can
-  // hand the collective the same payload-size hint; large partitions
-  // then take the chunk-pipelined ring under SKIL_COLL=auto/ring.
+  // hand the collective the same payload-size hint.  SKIL_COLL=ring
+  // always chunk-pipelines it; auto does so only for partitions large
+  // enough that the ring's per-call gap is no worse than the tree's.
   parix::broadcast(a.proc(), a.topology(), root_hw, part,
                    a.local().size() * sizeof(T));
   if (a.proc().id() != root_hw) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/gauss.h"
+#include "parix_golden_cases.h"
 #include "support/matrix.h"
 
 namespace {
@@ -90,6 +91,37 @@ TEST(GaussCost, PivotingRoughlyDoublesTheRuntime) {
   const double factor = pivot / nopivot;
   EXPECT_GT(factor, 1.3);
   EXPECT_LT(factor, 4.0);
+}
+
+TEST(GaussCost, CollAutoNeverLosesToTheTree) {
+  // The cells whose pivot rows SKIL_COLL=auto once sent through the
+  // 16-chunk ring: a per-call pick must not make the program slower
+  // than the tree it replaces, fused or not.
+  struct Cell {
+    int p;
+    int n;
+  };
+  using skil::testing::with_coll_mode;
+  using skil::testing::with_fuse_mode;
+  for (parix::FuseMode fuse : {parix::FuseMode::kOff, parix::FuseMode::kOn})
+    for (const Cell cell : {Cell{16, 384}, Cell{32, 384}, Cell{64, 256}}) {
+      const auto vtimes = [&](parix::CollMode mode) {
+        return with_fuse_mode(fuse, [&] {
+          return with_coll_mode(mode, [&] {
+            return std::pair{
+                gauss_skil(cell.p, cell.n, 5, false).run.vtime_us,
+                gauss_c(cell.p, cell.n, 5).run.vtime_us};
+          });
+        });
+      };
+      const auto [skil_tree, c_tree] = vtimes(parix::CollMode::kTree);
+      const auto [skil_auto, c_auto] = vtimes(parix::CollMode::kAuto);
+      const std::string at = "p " + std::to_string(cell.p) + " n " +
+                             std::to_string(cell.n) + " fuse " +
+                             (fuse == parix::FuseMode::kOn ? "on" : "off");
+      EXPECT_LE(skil_auto, skil_tree) << "skil " << at;
+      EXPECT_LE(c_auto, c_tree) << "c " << at;
+    }
 }
 
 TEST(GaussCost, VirtualTimeDeterministic) {

@@ -103,6 +103,21 @@ TEST(StencilGoldens, VtimesArePinnedPerMode) {
   }
 }
 
+TEST(StencilGoldens, CollAutoNeverLosesToTheTree) {
+  // bench_stencil's rod on its three machine sizes.  At p = 64 the
+  // 16-byte folds must take the tree: its isolated call finishes
+  // sooner than Bruck's, which lost 1.7 ms to it inside this program.
+  for (int p : {8, 16, 64}) {
+    const auto vtime = [&](parix::CollMode mode) {
+      return with_coll_mode(mode, [&] {
+        return apps::stencil_jacobi(p, 1024, 8).run.vtime_us;
+      });
+    };
+    EXPECT_LE(vtime(parix::CollMode::kAuto), vtime(parix::CollMode::kTree))
+        << "p " << p;
+  }
+}
+
 TEST(StencilGoldens, VtimeIsDeterministicAcrossRuns) {
   const auto a = apps::stencil_jacobi(8, 128, 8);
   const auto b = apps::stencil_jacobi(8, 128, 8);

@@ -117,6 +117,24 @@ TEST(SummaGoldens, VtimesArePinnedPerMode) {
   }
 }
 
+TEST(SummaGoldens, CollAutoNeverLosesToTheTree) {
+  // One grid size per panel regime: the 2x2 and 4x4 panels ride the
+  // pipelined ring under auto, the 8x8 ones stay on the tree.
+  struct Grid {
+    int p;
+    int n;
+  };
+  for (const Grid g : {Grid{4, 128}, Grid{16, 256}, Grid{64, 256}}) {
+    const auto vtime = [&](parix::CollMode mode) {
+      return with_coll_mode(mode, [&] {
+        return apps::matmul_summa(g.p, g.n, 31).run.vtime_us;
+      });
+    };
+    EXPECT_LE(vtime(parix::CollMode::kAuto), vtime(parix::CollMode::kTree))
+        << "p " << g.p << " n " << g.n;
+  }
+}
+
 TEST(SummaGoldens, VtimeIsDeterministicAcrossRuns) {
   const auto a = apps::matmul_summa(16, 48, 7);
   const auto b = apps::matmul_summa(16, 48, 7);

@@ -14,6 +14,8 @@
 //   3. Sub-communicators: split_rows/split_cols renumber ranks, keep
 //      disjoint tag streams, and never cross-match concurrent row and
 //      column collectives.
+// SKIL_COLL=auto's pick rests on the goldens of leg 2: its dry run
+// must reproduce them exactly, and its decisions are pinned below.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -336,6 +338,213 @@ TEST(CollAlgoGoldens, ReassociatingFamiliesBeatTheTreeAtThisSize) {
   EXPECT_LT(raben, tree);
   // auto picks the best of the three estimates.
   EXPECT_LE(adaptive, std::min({tree, ring, raben}) * 1.0001);
+}
+
+// --- SKIL_COLL=auto decisions ---------------------------------------
+//
+// auto keeps the tree unless another algorithm is no worse on both one
+// isolated call's completion time and the busiest member's per-call
+// gap (collectives.h, "kAuto selection").  The completion term is a
+// dry run of the call, so it must reproduce the runtime's vtime bit
+// for bit; the decisions below are the ones the paper's Table 2 and
+// the zoo's benches depend on.
+
+using coll_detail::PickSite;
+
+CollPickKey pick_key(PickSite site, std::uint64_t size, std::uint32_t elem,
+                     Op kind = Op::kIntOp) {
+  CollPickKey key;
+  key.site = static_cast<std::uint8_t>(site);
+  key.size = size;
+  key.elem = elem;
+  key.kind = static_cast<std::uint8_t>(kind);
+  return key;
+}
+
+double dry_completion(const CollPickKey& key, CollAlgo algo,
+                      const Topology& topo, int vroot = 0) {
+  const CostModel cost = CostModel::t800();
+  return coll_detail::completion_us(
+      coll_detail::schedule_for(key, algo, topo.nprocs(), cost), topo, cost,
+      vroot);
+}
+
+TEST(CollAutoDryRun, ReproducesEveryAlgorithmGoldenExactly) {
+  struct DryCase {
+    const char* golden;
+    int p;
+    Distr distr;
+    CollPickKey key;
+    CollAlgo algo;
+  };
+  const CollPickKey elems =
+      pick_key(PickSite::kAllreduceElems, 4096, sizeof(double), Op::kFloatOp);
+  const CollPickKey gather = pick_key(PickSite::kAllgather, sizeof(double), 0);
+  const CollPickKey bcast =
+      pick_key(PickSite::kBcastVector, 8192, sizeof(double));
+  const DryCase kCases[] = {
+      {"elems_tree_p16", 16, Distr::kDefault, elems, CollAlgo::kTree},
+      {"elems_ring_p16", 16, Distr::kDefault, elems, CollAlgo::kRing},
+      {"elems_raben_p16", 16, Distr::kDefault, elems, CollAlgo::kRabenseifner},
+      {"allgather_tree_p16", 16, Distr::kRing, gather, CollAlgo::kTree},
+      {"allgather_ring_p16", 16, Distr::kRing, gather, CollAlgo::kRing},
+      {"allgather_bruck_p12", 12, Distr::kDefault, gather,
+       CollAlgo::kRecDouble},
+      {"bcast_tree_p16", 16, Distr::kDefault, bcast, CollAlgo::kTree},
+      {"bcast_ringpipe_p16", 16, Distr::kDefault, bcast, CollAlgo::kRing},
+  };
+  for (const DryCase& c : kCases) {
+    const AlgoGolden* golden = nullptr;
+    for (const AlgoGolden& g : kAlgoGoldens)
+      if (std::strcmp(g.name, c.golden) == 0) golden = &g;
+    ASSERT_NE(golden, nullptr) << c.golden;
+    const Machine machine(c.p, CostModel::t800());
+    const Topology topo(machine, c.distr);
+    const coll_detail::Schedule s =
+        coll_detail::schedule_for(c.key, c.algo, c.p, machine.cost());
+    EXPECT_EQ(coll_detail::completion_us(s, topo, machine.cost(), 0),
+              golden->vtime_us)
+        << c.golden;
+    std::uint64_t sends = 0;
+    for (int m = 0; m < s.members(); ++m)
+      for (const coll_detail::DryStep* st = s.begin(m); st != s.end(m); ++st)
+        sends += st->kind == coll_detail::DryStep::kSend;
+    EXPECT_EQ(sends, golden->messages_sent) << c.golden;
+  }
+}
+
+TEST(CollAutoDryRun, PricesTheRealRootRelativeEdges) {
+  // A root away from vrank 0 shifts every edge of the call; the dry
+  // run must follow it, for the tree and for the pipelined ring.
+  const int p = 16;
+  const int n = 1000;
+  for (CollMode mode : {CollMode::kTree, CollMode::kRing}) {
+    for (int root : {5, 11}) {
+      RunConfig config{p, CostModel::t800()};
+      config.coll = mode;
+      const RunResult run = spmd_run(config, [&](Proc& proc) {
+        const Topology topo(proc.machine(), Distr::kTorus2D);
+        std::vector<double> v;
+        if (proc.id() == topo.hw_of(root)) v.assign(n, 2.5);
+        broadcast(proc, topo, topo.hw_of(root), v, n * sizeof(double));
+      });
+      const Machine machine(p, CostModel::t800());
+      const Topology topo(machine, Distr::kTorus2D);
+      const CollAlgo algo =
+          mode == CollMode::kTree ? CollAlgo::kTree : CollAlgo::kRing;
+      EXPECT_EQ(dry_completion(pick_key(PickSite::kBcastVector, n,
+                                        sizeof(double)),
+                               algo, topo, root),
+                run.vtime_us)
+          << coll_mode_name(mode) << " root " << root;
+    }
+  }
+}
+
+TEST(CollAutoDryRun, GapTermMatchesTheLargeBroadcastArithmetic) {
+  // 512 KB from one root at p = 64: every ring forwarder streams 16
+  // chunks, four per link channel; the tree's root sends six whole
+  // buffers, two on its busiest channel.
+  const CostModel cost = CostModel::t800();
+  const CollPickKey key =
+      pick_key(PickSite::kBcastVector, 65536, sizeof(double));
+  const double ring = coll_detail::gap_us(
+      coll_detail::schedule_for(key, CollAlgo::kRing, 64, cost), cost);
+  const double tree = coll_detail::gap_us(
+      coll_detail::schedule_for(key, CollAlgo::kTree, 64, cost), cost);
+  EXPECT_EQ(ring, 4 * (cost.msg_per_byte_us * (65536 / 16 * 8 + 8)));
+  EXPECT_EQ(tree, 2 * (cost.msg_per_byte_us * (65536 * 8 + 8)));
+  // A 5 KB pivot row: the ring's 16 x (startup + receive overhead)
+  // per forwarder dwarfs the tree's busiest member.
+  const CollPickKey row = pick_key(PickSite::kBcastVector, 641, sizeof(double));
+  EXPECT_EQ(coll_detail::gap_us(
+                coll_detail::schedule_for(row, CollAlgo::kRing, 64, cost),
+                cost),
+            16 * (cost.msg_startup_us + cost.recv_overhead_us));
+  EXPECT_LT(coll_detail::gap_us(
+                coll_detail::schedule_for(row, CollAlgo::kTree, 64, cost),
+                cost),
+            16 * (cost.msg_startup_us + cost.recv_overhead_us));
+}
+
+/// Processor 0 of a p-node machine under SKIL_COLL=auto, for calling
+/// the pick functions directly.
+struct AutoPicker {
+  explicit AutoPicker(int p, CostModel cost = CostModel::t800())
+      : machine(p, cost),
+        proc(machine, 0),
+        topo(machine, Distr::kDefault) {
+    proc.set_coll_mode(CollMode::kAuto);
+  }
+  Machine machine;
+  Proc proc;
+  Topology topo;
+};
+
+TEST(CollAutoPick, Table2PivotRowsTakeTheTree) {
+  // Skil's piv partition and C's pivot row are both one full row of
+  // the padded extended system: (gauss_round_up(n, p) + 1) doubles.
+  for (int p : {4, 16, 32, 64}) {
+    AutoPicker ap(p);
+    for (int n : {64, 128, 256, 384, 512, 640}) {
+      const int width = (n + p - 1) / p * p + 1;
+      for (int root = 0; root < p; ++root)
+        EXPECT_EQ(coll_detail::pick_broadcast(ap.proc, ap.topo, root,
+                                              width * sizeof(double),
+                                              sizeof(double)),
+                  CollAlgo::kTree)
+            << "p " << p << " n " << n << " root " << root;
+    }
+  }
+}
+
+TEST(CollAutoPick, LargeBroadcastsKeepThePipelinedRing) {
+  for (int p : {16, 48, 64}) {
+    AutoPicker ap(p);
+    EXPECT_EQ(coll_detail::pick_broadcast(ap.proc, ap.topo, 0,
+                                          65536 * sizeof(double),
+                                          sizeof(double)),
+              CollAlgo::kRing)
+        << "p " << p;
+  }
+}
+
+TEST(CollAutoPick, SelectionStateIsPerRun) {
+  // Free message software makes the ring's 16 small chunks cheaper
+  // than the tree root's six whole rows, so that machine pipelines a
+  // pivot row.  Its pick must not leak into a T800 run of the same
+  // key, which keeps the tree.
+  CostModel free_software = CostModel::t800();
+  free_software.msg_startup_us = 0.0;
+  free_software.recv_overhead_us = 0.0;
+  const std::size_t row = 641 * sizeof(double);
+  AutoPicker cheap(64, free_software);
+  EXPECT_EQ(coll_detail::pick_broadcast(cheap.proc, cheap.topo, 0, row,
+                                        sizeof(double)),
+            CollAlgo::kRing);
+  AutoPicker t800(64);
+  EXPECT_EQ(coll_detail::pick_broadcast(t800.proc, t800.topo, 0, row,
+                                        sizeof(double)),
+            CollAlgo::kTree);
+}
+
+TEST(CollAutoPick, ScalarAllreduceKeepsBruck) {
+  // Bruck's ceil(log2 p) rounds cost every member what the tree's root
+  // pays (equal gap) and finish sooner.
+  for (int p : {8, 16, 64}) {
+    AutoPicker ap(p);
+    EXPECT_EQ(coll_detail::pick_allreduce<double>(ap.proc, ap.topo),
+              CollAlgo::kRecDouble)
+        << "p " << p;
+  }
+}
+
+TEST(CollAutoPick, ExactElementwiseAllreduceKeepsRabenseifner) {
+  AutoPicker ap(16);
+  EXPECT_EQ(coll_detail::pick_allreduce_elems(ap.proc, ap.topo, 4096,
+                                              sizeof(double), Op::kFloatOp,
+                                              CollOrder::kExact),
+            CollAlgo::kRabenseifner);
 }
 
 TEST(CollAlgoGoldens, VtimeIsDeterministicPerMode) {
