@@ -140,12 +140,11 @@ int main(int argc, char** argv) {
   const std::string baseline_note = cli.get("baseline-note", "unspecified");
   // The host timer is noisy (shared machine); the minimum over reps is
   // the standard robust estimator of the undisturbed wall time.
-  const int reps = std::max(1, std::atoi(cli.get("reps", "1").c_str()));
-  const std::string jobs_arg = cli.get("jobs", "1");
+  const int reps = count_flag(cli, "reps", 1);
   const int jobs =
-      jobs_arg == "auto"
+      cli.get("jobs", "1") == "auto"
           ? static_cast<int>(std::max(1u, std::thread::hardware_concurrency()))
-          : std::max(1, std::atoi(jobs_arg.c_str()));
+          : count_flag(cli, "jobs", 1);
   if (cli.has("carriers")) {
     // Exported instead of set in-process only: forked cell workers
     // must resolve the same carrier count.  Invalid values fail
@@ -153,10 +152,13 @@ int main(int argc, char** argv) {
     ::setenv("SKIL_CARRIERS", cli.get("carriers", "auto").c_str(), 1);
     parix::executor_set_carriers(0);
   }
-  const int carriers = parix::executor_carriers();
+  const int carriers =
+      apply_knob(cli, [] { return parix::executor_carriers(); });
   if (cli.has("charge"))
-    parix::set_default_charge_path(
-        parix::parse_charge_path(cli.get("charge", "tape")));
+    apply_knob(cli, [&] {
+      parix::set_default_charge_path(
+          parix::parse_charge_path(cli.get("charge", "tape")));
+    });
   const char* charge_name =
       parix::default_charge_path() == parix::ChargePath::kTape ? "tape"
                                                                : "interp";
@@ -166,7 +168,9 @@ int main(int argc, char** argv) {
     // any tooling that re-execs (trace viewers, wrapper scripts) on
     // the same configuration.
     const std::string fuse_arg = cli.get("fuse", "off");
-    parix::set_default_fuse_mode(parix::parse_fuse_mode(fuse_arg));
+    apply_knob(cli, [&] {
+      parix::set_default_fuse_mode(parix::parse_fuse_mode(fuse_arg));
+    });
     ::setenv("SKIL_FUSE", fuse_arg.c_str(), 1);
   }
   const std::string fuse_name(
@@ -175,7 +179,9 @@ int main(int argc, char** argv) {
     // In-process slot for this process, env var for the forked cell
     // workers and anything that re-execs (same pattern as --fuse).
     const std::string prof_arg = cli.get("prof", "off");
-    parix::set_default_prof_mode(parix::parse_prof_mode(prof_arg));
+    apply_knob(cli, [&] {
+      parix::set_default_prof_mode(parix::parse_prof_mode(prof_arg));
+    });
     ::setenv("SKIL_PROF", prof_arg.c_str(), 1);
   }
   const parix::ProfMode prof_mode = parix::default_prof_mode();
@@ -184,7 +190,9 @@ int main(int argc, char** argv) {
     // In-process slot for this process, env var for the forked cell
     // workers and anything that re-execs (same pattern as --fuse).
     const std::string coll_arg = cli.get("coll", "auto");
-    parix::set_default_coll_mode(parix::parse_coll_mode(coll_arg));
+    apply_knob(cli, [&] {
+      parix::set_default_coll_mode(parix::parse_coll_mode(coll_arg));
+    });
     ::setenv("SKIL_COLL", coll_arg.c_str(), 1);
   }
   const std::string coll_name(

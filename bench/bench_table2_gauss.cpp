@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const support::Cli cli =
       parse_cli(argc, argv, {"quick", "csv", "out-dir", "jobs"});
   const bool quick = cli.get_bool("quick");
-  const int jobs = std::max(1, std::atoi(cli.get("jobs", "1").c_str()));
+  const int jobs = count_flag(cli, "jobs", 1);
   const std::uint64_t seed = 19960528;
 
   banner("Table 2 -- Gaussian elimination (no pivoting)");

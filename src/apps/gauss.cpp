@@ -1,5 +1,6 @@
 #include "apps/gauss.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -37,6 +38,81 @@ int gauss_round_up(int n, int nprocs) {
 }
 
 namespace {
+
+// Row kernels of the three Gauss phases, each written once for all four
+// non-interpretive paths (Skil and DPFL, fused and taped).  A kernel has
+// the row-run contract of array_map_taped: it maps one row run,
+// src[0..count) -> dst[0..count) starting at global column c0, and
+// returns its active count.  The taped paths run it from one array into
+// another; the fused paths run it in place (map_in_place), where the
+// inactive prefix needs no copy, so the twins differ only in region and
+// charges.  Gauss's row blocks span whole rows, so every run holds its
+// row's column-k factor and diagonal.
+
+/// Copies a run's inactive elements (a no-op for an in-place map).
+void keep(const double* src, double* dst, int count) {
+  if (src != dst) std::copy(src, src + count, dst);
+}
+
+/// copy_pivot: pivot row `krow` (nullptr off its owner) over its
+/// diagonal.
+auto pivot_kernel(const double* krow, int k) {
+  return [krow, k](int, int c0, const double* src, double* dst,
+                   int count) -> std::uint64_t {
+    if (krow == nullptr) {
+      keep(src, dst, count);
+      return 0;
+    }
+    for (int j = 0; j < count; ++j) dst[j] = krow[c0 + j] / krow[k];
+    return static_cast<std::uint64_t>(count);
+  };
+}
+
+/// eliminate: rows other than k lose f times the pivot row `prow` over
+/// the columns >= k, f being the row's column-k entry.
+auto eliminate_kernel(const double* prow, int k) {
+  return [prow, k](int row, int c0, const double* src, double* dst,
+                   int count) -> std::uint64_t {
+    const int lo = row == k ? count : k - c0;
+    keep(src, dst, lo);
+    if (lo == count) return 0;
+    const double f = src[lo];
+    for (int j = lo; j < count; ++j) dst[j] = src[j] - f * prow[c0 + j];
+    return static_cast<std::uint64_t>(count - lo);
+  };
+}
+
+/// normalize: the right-hand side (a row's last column) over the
+/// diagonal.
+constexpr auto normalize_kernel = [](int row, int c0, const double* src,
+                                     double* dst, int count) -> std::uint64_t {
+  const int rhs = count - 1;
+  keep(src, dst, rhs);
+  dst[rhs] = src[rhs] / src[row - c0];
+  return 1;
+};
+
+/// Runs a row kernel in place over a partition (the fused paths);
+/// returns the active count.
+template <class Kernel>
+std::uint64_t map_in_place(const Kernel& kernel,
+                           const std::vector<RowRun>& runs, double* data) {
+  std::uint64_t active = 0;
+  for (const RowRun& run : runs) {
+    active += kernel(run.row, run.col_begin, data, data, run.col_count);
+    data += run.col_count;
+  }
+  return active;
+}
+
+/// Row k of `arr`'s partition, or nullptr off its owner.
+template <class Array>
+const double* owned_row(const Array& arr, int k) {
+  const Bounds bds = arr.part_bounds();
+  if (k < bds.lower[0] || k >= bds.upper[0]) return nullptr;
+  return arr.local().data() +
+         static_cast<std::size_t>(k - bds.lower[0]) * bds.extent(1);
+}
 
 /// Shared implementation: the entry function supplies the padded
 /// size x (size+1) extended matrix.
@@ -176,82 +252,41 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
         // (non-owner writes were dead -- the broadcast below
         // overwrites every other partition of piv), and it reads the
         // pivot row from `a` directly since the copy was elided.
-        const Bounds ab = a.part_bounds();
-        const int arow0 = ab.lower[0];
-        const int aw = ab.extent(1);
-        if (arow0 <= k && k < ab.upper[0]) {
-          const double* krow =
-              a.local().data() + static_cast<std::size_t>(k - arow0) * aw;
-          double* prow = piv.local().data();  // one row, col0 = 0
-          for (int j = 0; j <= size; ++j) prow[j] = krow[j] / krow[k];
-          proc.replay(pivot_tape, static_cast<std::uint64_t>(size + 1));
+        const std::uint64_t active =
+            map_in_place(pivot_kernel(owned_row(a, k), k), piv.my_runs(),
+                         piv.local().data());
+        if (active > 0) {
+          proc.replay(pivot_tape, active);
           parix::DeferredCharges deferred(proc);
-          detail::array_map_charge_tail<double>(
-              deferred, static_cast<std::uint64_t>(size + 1));
+          detail::array_map_charge_tail<double>(deferred, active);
         }
       } else if (taped) {
-        // Flat replay kernel: the reads the interp body performs
-        // through the charged get_elem macro become raw partition
-        // loads (the tape carries the charges).  The owner test and
-        // the pivot-row base resolve once per step, not per element.
-        const Bounds bb = b.part_bounds();
-        const bool owner = bb.lower[0] <= k && k < bb.upper[0];
-        const double* krow =
-            owner ? b.local().data() +
-                        static_cast<std::size_t>(k - bb.lower[0]) *
-                            bb.extent(1)
-                  : nullptr;
-        array_map_taped(
-            [owner, krow, k](double v, Index ix, std::uint64_t& tapped) {
-              if (!owner) return v;
-              ++tapped;
-              return krow[ix[1]] / krow[k];
-            },
-            pivot_tape, piv, piv);
+        // The reads the interp body performs through the charged
+        // get_elem macro become raw partition loads (the tape carries
+        // the charges); the owner test resolves once per step.
+        array_map_taped(pivot_kernel(owned_row(b, k), k), pivot_tape, piv,
+                        piv);
       } else {
         array_map(partial(copy_pivot, std::cref(b), k), piv, piv);
       }
       array_broadcast_part(piv, Index{k / rows_per_proc, 0});
       if (step_fused) {
         // Fused elimination: in place on `a` over the active region
-        // only (rows != k, columns >= k), with the column-k factor
-        // hoisted per row before the sweep.  Bit-identity with the
+        // only (rows != k, columns >= k).  Bit-identity with the
         // two-array path: the factor is the pre-update a[i][k] (the
         // value the unfused kernel reads from the `b` copy), and
         // prow[k] == krow[k]/krow[k] == 1.0 exactly, so the j == k
         // update lands on the identical bits.
-        const Bounds ab = a.part_bounds();
-        const int arow0 = ab.lower[0];
-        const int aw = ab.extent(1);
-        double* ad = a.local().data();
-        const double* prow = piv.local().data();
-        std::uint64_t active = 0;
-        for (int i = arow0; i < ab.upper[0]; ++i) {
-          if (i == k) continue;
-          double* row = ad + static_cast<std::size_t>(i - arow0) * aw;
-          const double factor = row[k];
-          for (int j = k; j <= size; ++j) row[j] -= factor * prow[j];
-          active += static_cast<std::uint64_t>(size + 1 - k);
-        }
+        const std::uint64_t active =
+            map_in_place(eliminate_kernel(piv.local().data(), k),
+                         a.my_runs(), a.local().data());
         proc.replay(elim_tape, active);
         parix::DeferredCharges deferred(proc);
         detail::array_map_charge_tail<double>(deferred, active);
         parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
       } else if (taped) {
-        const Bounds bb = b.part_bounds();
-        const int brow0 = bb.lower[0];
-        const int bw = bb.extent(1);
-        const double* bd = b.local().data();
-        const double* prow = piv.local().data();  // one row, col0 = 0
-        array_map_taped(
-            [bd, prow, brow0, bw, k](double v, Index ix,
-                                     std::uint64_t& tapped) {
-              if (ix[0] == k || ix[1] < k) return v;
-              ++tapped;
-              return v - bd[static_cast<std::size_t>(ix[0] - brow0) * bw + k] *
-                             prow[ix[1]];
-            },
-            elim_tape, b, a);
+        array_map_taped(eliminate_kernel(piv.local().data(), k), elim_tape,
+                        b, a);
       } else {
         array_map(partial(eliminate, k, std::cref(b), std::cref(piv)), b, a);
       }
@@ -263,33 +298,14 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
       // place (the diagonal read is never clobbered -- it sits left
       // of the written column) and gather from `a`, eliding the full
       // normalize pass into `b` and its inactive-element tail.
-      const Bounds ab = a.part_bounds();
-      const int arow0 = ab.lower[0];
-      const int aw = ab.extent(1);
-      double* ad = a.local().data();
-      std::uint64_t active = 0;
-      for (int i = arow0; i < ab.upper[0]; ++i) {
-        double* row = ad + static_cast<std::size_t>(i - arow0) * aw;
-        row[size] /= row[i];
-        ++active;
-      }
+      const std::uint64_t active =
+          map_in_place(normalize_kernel, a.my_runs(), a.local().data());
       proc.replay(norm_tape, active);
       parix::DeferredCharges deferred(proc);
       detail::array_map_charge_tail<double>(deferred, active);
       parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
     } else if (taped) {
-      const Bounds ab = a.part_bounds();
-      const int arow0 = ab.lower[0];
-      const int aw = ab.extent(1);
-      const double* ad = a.local().data();
-      array_map_taped(
-          [ad, arow0, aw, size](double v, Index ix, std::uint64_t& tapped) {
-            if (ix[1] != size) return v;
-            ++tapped;
-            return v / ad[static_cast<std::size_t>(ix[0] - arow0) * aw +
-                          ix[0]];
-          },
-          norm_tape, a, b);
+      array_map_taped(normalize_kernel, norm_tape, a, b);
     } else {
       array_map(partial(normalize, std::cref(a), size), a, b);
     }
@@ -393,17 +409,12 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
         // partition (non-owner writes were dead -- the broadcast
         // overwrites them).  The closure record is still built.
         proc.charge(parix::Op::kAlloc);
-        const Bounds ab = a.part_bounds();
-        if (ab.lower[0] <= k && k < ab.upper[0]) {
-          const double* krow =
-              a.local().data() +
-              static_cast<std::size_t>(k - ab.lower[0]) * ab.extent(1);
-          double* prow = pmut->data();  // one row, col0 = 0
-          for (int j = 0; j <= size; ++j) prow[j] = krow[j] / krow[k];
-          proc.replay(pivot_tape, static_cast<std::uint64_t>(size + 1));
-          dpfl::charge_apply(proc, static_cast<std::uint64_t>(size + 1));
-          proc.charge(dpfl::op_kind<double>(),
-                      static_cast<std::uint64_t>(size + 1));
+        const std::uint64_t active = map_in_place(
+            pivot_kernel(owned_row(a, k), k), piv.my_runs(), pmut->data());
+        if (active > 0) {
+          proc.replay(pivot_tape, active);
+          dpfl::charge_apply(proc, active);
+          proc.charge(dpfl::op_kind<double>(), active);
         }
         parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
       } else if (taped) {
@@ -412,20 +423,8 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
         // program point.  As in gauss_skil_impl, the kernel reads the
         // partition raw -- the tape carries the boxed-access charges.
         proc.charge(parix::Op::kAlloc);
-        const Bounds ab = a.part_bounds();
-        const bool owner = ab.lower[0] <= k && k < ab.upper[0];
-        const double* krow =
-            owner ? a.local().data() +
-                        static_cast<std::size_t>(k - ab.lower[0]) *
-                            ab.extent(1)
-                  : nullptr;
-        piv = dpfl::fa_map_taped(
-            [owner, krow, k](double v, Index ix, std::uint64_t& tapped) {
-              if (!owner) return v;
-              ++tapped;
-              return krow[ix[1]] / krow[k];
-            },
-            pivot_tape, piv);
+        piv = dpfl::fa_map_taped<double>(pivot_kernel(owned_row(a, k), k),
+                                         pivot_tape, piv);
       } else {
         const Closure<double(double, Index)> copy_pivot(
             proc, [&a, k, &proc](double v, Index ix) {
@@ -451,19 +450,9 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
         // alias is deliberately not created -- it would pin the old
         // partition alive and force the copy.
         proc.charge(parix::Op::kAlloc);  // eliminate closure record
-        const Bounds sb = a.part_bounds();
-        const int srow0 = sb.lower[0];
-        const int sw = sb.extent(1);
-        double* ad = amut->data();
-        const double* prow = piv.local().data();
-        std::uint64_t active = 0;
-        for (int i = srow0; i < sb.upper[0]; ++i) {
-          if (i == k) continue;
-          double* row = ad + static_cast<std::size_t>(i - srow0) * sw;
-          const double factor = row[k];
-          for (int j = k; j <= size; ++j) row[j] -= factor * prow[j];
-          active += static_cast<std::uint64_t>(size + 1 - k);
-        }
+        const std::uint64_t active =
+            map_in_place(eliminate_kernel(piv.local().data(), k),
+                         a.my_runs(), amut->data());
         proc.replay(elim_tape, active);
         dpfl::charge_apply(proc, active);
         proc.charge(dpfl::op_kind<double>(), active);
@@ -472,25 +461,13 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
       }
       if (fusing)  // shared storage: cannot deforest in place
         parix::note_fusion_rejected(parix::FusionReject::kShape);
-      const FArray<double> source = a;
-      const FArray<double> pivot_rows = piv;
       if (taped) {
         proc.charge(parix::Op::kAlloc);  // eliminate closure record
-        const Bounds sb = source.part_bounds();
-        const int srow0 = sb.lower[0];
-        const int sw = sb.extent(1);
-        const double* sd = source.local().data();
-        const double* prow = pivot_rows.local().data();  // one row
-        a = dpfl::fa_map_taped(
-            [sd, prow, srow0, sw, k](double v, Index ix,
-                                     std::uint64_t& tapped) {
-              if (ix[0] == k || ix[1] < k) return v;
-              ++tapped;
-              return v - sd[static_cast<std::size_t>(ix[0] - srow0) * sw + k] *
-                             prow[ix[1]];
-            },
-            elim_tape, a);
+        a = dpfl::fa_map_taped<double>(
+            eliminate_kernel(piv.local().data(), k), elim_tape, a);
       } else {
+        const FArray<double> source = a;
+        const FArray<double> pivot_rows = piv;
         const Closure<double(double, Index)> eliminate(
             proc, [source, pivot_rows, k, &proc](double v, Index ix) {
               if (ix[0] == k || ix[1] < k) return v;
@@ -512,16 +489,8 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
       // diagonal read sits left of the written column), active
       // elements only.
       proc.charge(parix::Op::kAlloc);  // normalize closure record
-      const Bounds fb = a.part_bounds();
-      const int frow0 = fb.lower[0];
-      const int fw = fb.extent(1);
-      double* ad = amut->data();
-      std::uint64_t active = 0;
-      for (int i = frow0; i < fb.upper[0]; ++i) {
-        double* row = ad + static_cast<std::size_t>(i - frow0) * fw;
-        row[size] /= row[i];
-        ++active;
-      }
+      const std::uint64_t active =
+          map_in_place(normalize_kernel, a.my_runs(), amut->data());
       proc.replay(norm_tape, active);
       dpfl::charge_apply(proc, active);
       proc.charge(dpfl::op_kind<double>(), active);
@@ -529,20 +498,8 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
     } else if (taped) {
       if (fusing)
         parix::note_fusion_rejected(parix::FusionReject::kShape);
-      const FArray<double> final_a = a;
       proc.charge(parix::Op::kAlloc);  // normalize closure record
-      const Bounds fb = final_a.part_bounds();
-      const int frow0 = fb.lower[0];
-      const int fw = fb.extent(1);
-      const double* fd = final_a.local().data();
-      a = dpfl::fa_map_taped(
-          [fd, frow0, fw, size](double v, Index ix, std::uint64_t& tapped) {
-            if (ix[1] != size) return v;
-            ++tapped;
-            return v / fd[static_cast<std::size_t>(ix[0] - frow0) * fw +
-                          ix[0]];
-          },
-          norm_tape, a);
+      a = dpfl::fa_map_taped<double>(normalize_kernel, norm_tape, a);
     } else {
       const FArray<double> final_a = a;
       const Closure<double(double, Index)> normalize(

@@ -242,41 +242,35 @@ FArray<T2> fa_map(const Closure<T2(T1, Index)>& map_f, const FArray<T1>& a) {
   return FArray<T2>(proc, a.dist_ptr(), std::move(fresh));
 }
 
-/// Tape-specialized fa_map.  `map_f` is a plain (inlinable) functor
-/// `T2(const T1&, Index, std::uint64_t& tapped)` that performs raw
-/// reads (get_elem_uncharged) and bumps `tapped` once per element
-/// whose interpretive body would have charged `tape`'s sequence; the
-/// loop then replays the tape `tapped` times before booking the same
-/// bulk tail charges as fa_map.  Chain-identical to fa_map with a
-/// closure whose active elements all charge `tape`'s sequence
-/// (DESIGN.md section 8).
+/// Tape-specialized fa_map over a row kernel, with the contract of
+/// array_map_taped (skeleton_map.h): `row_f(row, col_begin, src, dst,
+/// count)` maps one row run from `a`'s partition into the fresh one and
+/// returns its tapped count; the loop replays the tape once for the
+/// sum before booking fa_map's bulk tail charges.  Chain-identical to
+/// fa_map with a closure whose active elements all charge `tape`'s
+/// sequence (DESIGN.md section 8).  T2 is the element type of the
+/// result: `fa_map_taped<double>(row_f, tape, a)`.
 ///
 /// As with array_map_taped, hoist the tape out of repeated-map loops:
 /// its stable identity keys the cross-replay settlement memo
 /// (DESIGN.md section 12), turning every replay after the first into
 /// a cached closed-form walk.  gauss_dpfl's elimination tapes are the
 /// canonical example -- built once, replayed every step.
-template <class T1, class MapF>
-auto fa_map_taped(MapF&& map_f, const parix::ChargeTape& tape,
-                  const FArray<T1>& a) {
-  using T2 = std::remove_cvref_t<
-      std::invoke_result_t<MapF&, const T1&, Index, std::uint64_t&>>;
+template <class T2, class T1, class RowF>
+FArray<T2> fa_map_taped(RowF&& row_f, const parix::ChargeTape& tape,
+                        const FArray<T1>& a) {
   SKIL_REQUIRE(a.valid(), "fa_map: invalid array");
   parix::Proc& proc = a.proc();
   const parix::TraceSpan span(proc, "fa_map");
-  const auto& src = a.local();
-  std::vector<T2> fresh;
-  fresh.reserve(src.size());
-  std::size_t offset = 0;
+  const T1* src = a.local().data();
+  std::vector<T2> fresh(a.local().size());
   std::uint64_t elems = 0;
   std::uint64_t tapped = 0;
-  for (const RowRun& run : a.my_runs())
-    for (int c = 0; c < run.col_count; ++c) {
-      fresh.push_back(
-          map_f(src[offset], Index{run.row, run.col_begin + c}, tapped));
-      ++offset;
-      ++elems;
-    }
+  for (const RowRun& run : a.my_runs()) {
+    tapped += row_f(run.row, run.col_begin, src + elems,
+                    fresh.data() + elems, run.col_count);
+    elems += static_cast<std::uint64_t>(run.col_count);
+  }
   proc.replay(tape, tapped);
   // Tail charges ride the deferred ledger too: booking them eagerly
   // would settle the just-deferred replay on the spot and collapse the
@@ -319,58 +313,6 @@ T2 fa_fold(const Closure<T2(T1, Index)>& conv_f,
     if (!rhs.has_value()) return lhs;
     charge_apply(proc);
     return fold_f.apply_uncharged(std::move(*lhs), std::move(*rhs));
-  };
-  std::optional<T2> result =
-      parix::allreduce(proc, a.topology(), std::move(acc), merge);
-  SKIL_REQUIRE(result.has_value(), "fa_fold: array has no elements");
-  return *result;
-}
-
-/// Tape-specialized fa_fold.  `conv_f` is a raw (inlinable) functor
-/// `T2(const T1&, Index, std::uint64_t& tapped)` bumping `tapped` once
-/// per application whose interpretive body would have charged `tape`'s
-/// sequence; `fold_f` is a raw charge-free combiner `T2(T2, T2)`.  The
-/// local loop replays the tape before booking fa_fold's bulk tail
-/// charges; the (cold, log p) tree merge stays interpretive, charging
-/// exactly what fa_fold's merge charges.
-template <class T1, class ConvF, class FoldF>
-auto fa_fold_taped(ConvF&& conv_f, FoldF&& fold_f,
-                   const parix::ChargeTape& tape, const FArray<T1>& a) {
-  using T2 = std::remove_cvref_t<
-      std::invoke_result_t<ConvF&, const T1&, Index, std::uint64_t&>>;
-  SKIL_REQUIRE(a.valid(), "fa_fold: invalid array");
-  parix::Proc& proc = a.proc();
-  const parix::TraceSpan span(proc, "fa_fold");
-  const auto& src = a.local();
-  std::optional<T2> acc;
-  std::size_t offset = 0;
-  std::uint64_t elems = 0;
-  std::uint64_t tapped = 0;
-  for (const RowRun& run : a.my_runs())
-    for (int c = 0; c < run.col_count; ++c) {
-      T2 converted =
-          conv_f(src[offset], Index{run.row, run.col_begin + c}, tapped);
-      acc = acc.has_value()
-                ? fold_f(std::move(*acc), std::move(converted))
-                : std::move(converted);
-      ++offset;
-      ++elems;
-    }
-  proc.replay(tape, tapped);
-  parix::DeferredCharges deferred(proc);
-  charge_apply(deferred, 2 * elems);
-  charge_map_cell(deferred, elems);
-  deferred.charge(op_kind<T1>(), elems);
-
-  // The (cold, log p) tree merge stays eager: its first charge_apply
-  // is the fold-combine settlement point, and the allreduce sends
-  // settle anyway.
-  auto merge = [&](std::optional<T2> lhs,
-                   std::optional<T2> rhs) -> std::optional<T2> {
-    if (!lhs.has_value()) return rhs;
-    if (!rhs.has_value()) return lhs;
-    charge_apply(proc);
-    return fold_f(std::move(*lhs), std::move(*rhs));
   };
   std::optional<T2> result =
       parix::allreduce(proc, a.topology(), std::move(acc), merge);

@@ -81,14 +81,17 @@ void array_map(F map_f, const DistArray<T1>& from, DistArray<T2>& to) {
   detail::array_map_charge_tail<T2>(from.proc(), elems);
 }
 
-/// Tape-specialized array_map.  `map_f` is a plain functor
-/// `T2(const T1&, Index, std::uint64_t& tapped)` performing raw reads
-/// (get_elem_uncharged) and bumping `tapped` once per element whose
-/// interpretive body would have charged `tape`'s sequence; the loop
-/// replays the tape `tapped` times, then books the same bulk tail
-/// charges as array_map.  Chain-identical to array_map with a functor
-/// whose active elements all charge `tape`'s sequence (DESIGN.md
-/// section 8).
+/// Tape-specialized array_map: the paper's first-order loop over the
+/// partition (array_map_1, DESIGN.md section 2).  `row_f` is a row
+/// kernel `std::uint64_t(int row, int col_begin, const T1* src,
+/// T2* dst, int count)`, called once per row run: it maps the run's
+/// elements src[0..count) into dst[0..count) with raw reads and
+/// returns how many of them its interpretive body would have charged
+/// `tape`'s sequence for.  src may equal dst (in-situ map), so kernels
+/// work elementwise.  The loop replays the tape for the summed count,
+/// then books the same bulk tail charges as array_map.  Chain-
+/// identical to array_map with a functor whose active elements all
+/// charge `tape`'s sequence (DESIGN.md section 8).
 ///
 /// Callers should hoist the tape out of any loop that maps repeatedly
 /// with the same charge sequence: a tape's identity (ChargeTape::id)
@@ -97,24 +100,21 @@ void array_map(F map_f, const DistArray<T1>& from, DistArray<T2>& to) {
 /// closed-form walk, while rebuilding it per call is memo-cold
 /// (bit-identical either way).
 template <class F, class T1, class T2>
-void array_map_taped(F map_f, const parix::ChargeTape& tape,
+void array_map_taped(F row_f, const parix::ChargeTape& tape,
                      const DistArray<T1>& from, DistArray<T2>& to) {
   SKIL_REQUIRE(from.valid() && to.valid(), "array_map: invalid array");
   SKIL_REQUIRE(from.dist().same_placement(to.dist()),
                "array_map: source and target must share one distribution");
   const parix::TraceSpan span(from.proc(), "array_map");
-  const auto& src = from.local();
-  auto& dst = to.local();
-  std::size_t offset = 0;
+  const T1* src = from.local().data();
+  T2* dst = to.local().data();
   std::uint64_t elems = 0;
   std::uint64_t tapped = 0;
-  for (const RowRun& run : from.my_runs())
-    for (int c = 0; c < run.col_count; ++c) {
-      dst[offset] =
-          map_f(src[offset], Index{run.row, run.col_begin + c}, tapped);
-      ++offset;
-      ++elems;
-    }
+  for (const RowRun& run : from.my_runs()) {
+    tapped += row_f(run.row, run.col_begin, src + elems, dst + elems,
+                    run.col_count);
+    elems += static_cast<std::uint64_t>(run.col_count);
+  }
   from.proc().replay(tape, tapped);
   parix::DeferredCharges deferred(from.proc());
   detail::array_map_charge_tail<T2>(deferred, elems);

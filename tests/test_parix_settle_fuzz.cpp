@@ -2,27 +2,33 @@
 // settlement.
 //
 // Random compositions of taped skeletons (skil array_map_taped, dpfl
-// fa_map_taped / fa_fold_taped) interleaved with eager skeletons
-// (array_zip, array_fold, array_copy -- each an extra settlement
-// point) run over random processor counts and array shapes, three
-// ways:
+// fa_map_taped, both driven by row kernels) interleaved with eager
+// skeletons (array_zip, array_fold, array_copy, fa_fold -- each an
+// extra settlement point) run over random processor counts, array
+// shapes and topologies, three ways:
 //
 //   1. interpretive charging on the threads engine,
 //   2. taped charging on the pooled engine with one carrier,
 //   3. taped charging on the pooled engine with four carriers (work
 //      stealing migrates fibers, and their ledgers, between carriers).
 //
-// All three must produce bit-identical per-processor virtual times and
-// operation statistics: the taped variants are chain-identical to the
-// interpretive ones by construction (DESIGN.md section 8), deferral
-// only moves *when* the same adds execute (section 10), and the
-// closed-form walk lands on the bits the plain chain would (section
-// 12).  The shapes deliberately mix ragged small grids (empty
-// partitions, odd remainders) with partitions large enough that the
-// deferred maps become long walkable replay records, and the
-// settlement counters assert the closed-form path really ran.
+// All three must produce bit-identical per-processor virtual times,
+// operation statistics and array contents: the taped variants are
+// chain-identical to the interpretive ones by construction (DESIGN.md
+// section 8), deferral only moves *when* the same adds execute
+// (section 10), and the closed-form walk lands on the bits the plain
+// chain would (section 12).  Each map is active on a row-dependent
+// column window only, so a row kernel must place its run by
+// col_begin: 2-D partitions (and DISTR_TORUS2D's folded placement)
+// start runs at col_begin > 0, and a misplaced window moves both the
+// tapped count and the mapped values.  The shapes deliberately mix
+// ragged small grids (empty partitions, odd remainders) with
+// partitions large enough that the deferred maps become long walkable
+// replay records, and the settlement counters assert the closed-form
+// path really ran.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <utility>
@@ -56,13 +62,25 @@ enum StepKind {
 struct StepSpec {
   int kind = kSkilMap;
   std::vector<TapeEntrySpec> tape;  // used by the taped step kinds
+  // A map is active on the columns [lo, lo + width) of each row, with
+  // lo = (row * mul + add) % cols and width < cols: every row keeps an
+  // inactive column, so a map taps fewer elements than it maps.
+  int mul = 0;
+  int add = 0;
+  int width = 0;
 };
 
 struct ProgramSpec {
   int p = 2;
   int rows = 1;
   int cols = 1;
+  parix::Distr distr = parix::Distr::kDefault;
   std::vector<StepSpec> steps;
+
+  bool active(const StepSpec& step, int row, int col) const {
+    const int lo = (row * step.mul + step.add) % cols;
+    return col >= lo && col < lo + step.width;
+  }
 };
 
 /// Derives a random program from a seed.  The generator is the only
@@ -86,10 +104,14 @@ ProgramSpec make_program(std::uint64_t seed) {
     prog.rows = prog.p * (24 + static_cast<int>(rng() % 20));
     prog.cols = 17 + static_cast<int>(rng() % 16);
   }
+  if (rng() % 3 == 0) prog.distr = parix::Distr::kTorus2D;
   const int nsteps = 3 + static_cast<int>(rng() % 6);
   for (int s = 0; s < nsteps; ++s) {
     StepSpec step;
     step.kind = static_cast<int>(rng() % kStepKinds);
+    step.mul = static_cast<int>(rng() % 7);
+    step.add = static_cast<int>(rng() % prog.cols);
+    step.width = static_cast<int>(rng() % prog.cols);
     const int len = 1 + static_cast<int>(rng() % 5);
     for (int i = 0; i < len; ++i)
       step.tape.push_back(
@@ -99,13 +121,34 @@ ProgramSpec make_program(std::uint64_t seed) {
   return prog;
 }
 
+/// What one run of a program produced: the timing artefacts, the final
+/// Skil and DPFL arrays (gathered on processor 0), and the taped maps'
+/// tapped and mapped element counts.
+struct Outcome {
+  parix::RunResult run;
+  std::vector<double> skil;
+  std::vector<double> dpfl;
+  std::uint64_t tapped = 0;
+  std::uint64_t mapped = 0;
+};
+
+double skil_map_f(double v, int row, int col) {
+  return v * 0.5 + 0.0625 * row - 0.03125 * col;
+}
+double dpfl_map_f(double v, int, int col) { return v * 0.5 + 0.015625 * col; }
+
 /// Executes the program.  `taped` selects the tape-specialized
 /// skeleton variants (deferred ledger, algebraic settlement); the
 /// interpretive variants charge the identical sequences eagerly
-/// per element.
-parix::RunResult run_program(const ProgramSpec& prog, bool taped) {
+/// per active element.
+Outcome run_program(const ProgramSpec& prog, bool taped) {
+  Outcome out;
+  // Per-processor tallies of the taped maps (each slot is written by its
+  // own processor only).
+  std::vector<std::uint64_t> tapped(prog.p, 0);
+  std::vector<std::uint64_t> mapped(prog.p, 0);
   parix::RunConfig config{prog.p, parix::CostModel::t800()};
-  return parix::spmd_run(config, [&](parix::Proc& proc) {
+  out.run = parix::spmd_run(config, [&](parix::Proc& proc) {
     const auto charge_eager = [&proc](const std::vector<TapeEntrySpec>& t) {
       for (const TapeEntrySpec& e : t) proc.charge(e.kind, e.count);
     };
@@ -114,15 +157,41 @@ parix::RunResult run_program(const ProgramSpec& prog, bool taped) {
       for (const TapeEntrySpec& e : t) tape.charge(e.kind, e.count);
       return tape;
     };
+    // Row kernel of a taped map step: the step's active window gets
+    // fn, the rest of the run keeps its values.
+    const auto window_kernel = [&](const StepSpec& step, auto fn) {
+      return [&, fn](int row, int c0, const double* src, double* dst,
+                     int count) -> std::uint64_t {
+        std::uint64_t active = 0;
+        for (int j = 0; j < count; ++j) {
+          const bool on = prog.active(step, row, c0 + j);
+          dst[j] = on ? fn(src[j], row, c0 + j) : src[j];
+          active += on ? 1 : 0;
+        }
+        tapped[proc.id()] += active;
+        mapped[proc.id()] += static_cast<std::uint64_t>(count);
+        return active;
+      };
+    };
+    // Interpretive twin: charges the tape per active element.
+    const auto window_body = [&](const StepSpec& step, auto fn) {
+      return [&, fn](double v, Index ix) {
+        if (!prog.active(step, ix[0], ix[1])) return v;
+        charge_eager(step.tape);
+        return fn(v, ix[0], ix[1]);
+      };
+    };
 
     const Size shape{prog.rows, prog.cols};
     auto a = array_create<double>(
         proc, 2, shape,
-        [](Index ix) { return 1.0 + 0.25 * ix[0] - 0.125 * ix[1]; });
-    auto b = array_create<double>(proc, 2, shape, [](Index) { return 0.0; });
+        [](Index ix) { return 1.0 + 0.25 * ix[0] - 0.125 * ix[1]; },
+        prog.distr);
+    auto b = array_create<double>(
+        proc, 2, shape, [](Index) { return 0.0; }, prog.distr);
     const dpfl::Closure<double(Index)> finit(
         proc, [](Index ix) { return 0.5 * ix[0] + ix[1]; });
-    auto f = dpfl::fa_create<double>(proc, 2, shape, finit);
+    auto f = dpfl::fa_create<double>(proc, 2, shape, finit, prog.distr);
 
     for (const StepSpec& step : prog.steps) {
       switch (step.kind) {
@@ -133,25 +202,11 @@ parix::RunResult run_program(const ProgramSpec& prog, bool taped) {
           // cross-replay cache hit/miss interleavings.
           if (taped) {
             const parix::ChargeTape tape = build_tape(step.tape);
-            array_map_taped(
-                [](const double& v, Index ix, std::uint64_t& tapped) {
-                  ++tapped;
-                  return v * 0.5 + 0.0625 * ix[0] - 0.03125 * ix[1];
-                },
-                tape, a, b);
-            array_map_taped(
-                [](const double& v, Index ix, std::uint64_t& tapped) {
-                  ++tapped;
-                  return v * 0.5 + 0.0625 * ix[0] - 0.03125 * ix[1];
-                },
-                tape, b, a);
+            array_map_taped(window_kernel(step, skil_map_f), tape, a, b);
+            array_map_taped(window_kernel(step, skil_map_f), tape, b, a);
           } else {
-            const auto map_fn = [&](const double& v, Index ix) {
-              charge_eager(step.tape);
-              return v * 0.5 + 0.0625 * ix[0] - 0.03125 * ix[1];
-            };
-            array_map(map_fn, a, b);
-            array_map(map_fn, b, a);
+            array_map(window_body(step, skil_map_f), a, b);
+            array_map(window_body(step, skil_map_f), b, a);
           }
           break;
         }
@@ -173,58 +228,48 @@ parix::RunResult run_program(const ProgramSpec& prog, bool taped) {
             // allocates when it constructs map_f.
             proc.charge(parix::Op::kAlloc);
             const parix::ChargeTape tape = build_tape(step.tape);
-            f = dpfl::fa_map_taped(
-                [](const double& v, Index ix, std::uint64_t& tapped) {
-                  ++tapped;
-                  return v * 0.5 + 0.015625 * ix[1];
-                },
-                tape, f);
+            f = dpfl::fa_map_taped<double>(window_kernel(step, dpfl_map_f),
+                                           tape, f);
           } else {
             const dpfl::Closure<double(double, Index)> map_f(
-                proc, [&](double v, Index ix) {
-                  charge_eager(step.tape);
-                  return v * 0.5 + 0.015625 * ix[1];
-                });
+                proc, window_body(step, dpfl_map_f));
             f = dpfl::fa_map(map_f, f);
           }
           break;
         }
         case kDpflFold: {
-          if (taped) {
-            // Two closure records: conv_f and fold_f.
-            proc.charge(parix::Op::kAlloc);
-            proc.charge(parix::Op::kAlloc);
-            const parix::ChargeTape tape = build_tape(step.tape);
-            (void)dpfl::fa_fold_taped(
-                [](const double& v, Index ix, std::uint64_t& tapped) {
-                  ++tapped;
-                  return v + 0.25 * ix[0];
-                },
-                [](double x, double y) { return x + y; }, tape, f);
-          } else {
-            const dpfl::Closure<double(double, Index)> conv(
-                proc, [&](double v, Index ix) {
-                  charge_eager(step.tape);
-                  return v + 0.25 * ix[0];
-                });
-            const dpfl::Closure<double(double, double)> fold(
-                proc, [](double x, double y) { return x + y; });
-            (void)dpfl::fa_fold(conv, fold, f);
-          }
+          // An eager settlement point in both arms: the fold's tree
+          // merge settles the ledger the taped maps deferred into.
+          const dpfl::Closure<double(double, Index)> conv(
+              proc, [](double v, Index ix) { return v + 0.25 * ix[0]; });
+          const dpfl::Closure<double(double, double)> fold(
+              proc, [](double x, double y) { return x + y; });
+          (void)dpfl::fa_fold(conv, fold, f);
           break;
         }
         default:
           FAIL() << "unknown step kind " << step.kind;
       }
     }
+    std::vector<double> skil = array_gather_root(a);
+    std::vector<double> dpfl = dpfl::fa_gather_root(f);
+    if (proc.id() == 0) {
+      out.skil = std::move(skil);
+      out.dpfl = std::move(dpfl);
+    }
   });
+  for (int pid = 0; pid < prog.p; ++pid) {
+    out.tapped += tapped[pid];
+    out.mapped += mapped[pid];
+  }
+  return out;
 }
 
 template <class Fn>
-parix::RunResult with_engine(parix::ExecutionEngine engine, Fn&& fn) {
+Outcome with_engine(parix::ExecutionEngine engine, Fn&& fn) {
   const parix::ExecutionEngine saved = parix::default_execution_engine();
   parix::set_default_execution_engine(engine);
-  parix::RunResult result = fn();
+  Outcome result = fn();
   parix::set_default_execution_engine(saved);
   return result;
 }
@@ -236,38 +281,58 @@ TEST(SettleFuzz, TapeOnPooledBitIdenticalToInterpAtOneAndFourCarriers) {
   // miss), memo hit, plain-chain and mixed interleavings of all three.
   // Both taped runs must agree with interp to the last bit.
   const parix::SettleCounters before = parix::settle_counters();
+  std::uint64_t tapped = 0;
+  std::uint64_t mapped = 0;
+  int torus_programs = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const ProgramSpec prog = make_program(seed * 0xD1B54A32D192ED03ull + 5);
+    const bool torus = prog.distr == parix::Distr::kTorus2D;
+    torus_programs += torus ? 1 : 0;
     SCOPED_TRACE(::testing::Message()
                  << "seed " << seed << " p=" << prog.p << " " << prog.rows
-                 << "x" << prog.cols << " steps=" << prog.steps.size());
+                 << "x" << prog.cols << (torus ? " torus" : "")
+                 << " steps=" << prog.steps.size());
 
-    const parix::RunResult interp = with_engine(
+    const Outcome interp = with_engine(
         parix::ExecutionEngine::kThreads,
         [&] { return run_program(prog, /*taped=*/false); });
 
     parix::executor_set_carriers(1);
-    const parix::RunResult tape_one = with_engine(
+    const Outcome tape_one = with_engine(
         parix::ExecutionEngine::kPooled,
         [&] { return run_program(prog, /*taped=*/true); });
 
     parix::executor_set_carriers(4);
-    const parix::RunResult tape_four = with_engine(
+    const Outcome tape_four = with_engine(
         parix::ExecutionEngine::kPooled,
         [&] { return run_program(prog, /*taped=*/true); });
     parix::executor_set_carriers(0);
 
-    ASSERT_EQ(interp.proc_vtimes.size(), static_cast<std::size_t>(prog.p));
-    ASSERT_EQ(tape_one.proc_vtimes.size(), interp.proc_vtimes.size());
-    ASSERT_EQ(tape_four.proc_vtimes.size(), interp.proc_vtimes.size());
+    ASSERT_EQ(interp.run.proc_vtimes.size(),
+              static_cast<std::size_t>(prog.p));
+    ASSERT_EQ(tape_one.run.proc_vtimes.size(), interp.run.proc_vtimes.size());
+    ASSERT_EQ(tape_four.run.proc_vtimes.size(),
+              interp.run.proc_vtimes.size());
     for (int pid = 0; pid < prog.p; ++pid) {
       SCOPED_TRACE(::testing::Message() << "proc " << pid);
-      EXPECT_EQ(interp.proc_vtimes[pid], tape_one.proc_vtimes[pid]);
-      EXPECT_EQ(interp.proc_vtimes[pid], tape_four.proc_vtimes[pid]);
-      EXPECT_EQ(interp.proc_stats[pid], tape_one.proc_stats[pid]);
-      EXPECT_EQ(interp.proc_stats[pid], tape_four.proc_stats[pid]);
+      EXPECT_EQ(interp.run.proc_vtimes[pid], tape_one.run.proc_vtimes[pid]);
+      EXPECT_EQ(interp.run.proc_vtimes[pid], tape_four.run.proc_vtimes[pid]);
+      EXPECT_EQ(interp.run.proc_stats[pid], tape_one.run.proc_stats[pid]);
+      EXPECT_EQ(interp.run.proc_stats[pid], tape_four.run.proc_stats[pid]);
     }
+    EXPECT_EQ(interp.skil, tape_one.skil);
+    EXPECT_EQ(interp.skil, tape_four.skil);
+    EXPECT_EQ(interp.dpfl, tape_one.dpfl);
+    EXPECT_EQ(interp.dpfl, tape_four.dpfl);
+    EXPECT_EQ(tape_one.tapped, tape_four.tapped);
+    tapped += tape_one.tapped;
+    mapped += tape_one.mapped;
   }
+  // The windows must really select: some elements tapped, some not,
+  // and some programs placed on the torus.
+  EXPECT_GT(tapped, 0u);
+  EXPECT_LT(tapped, mapped);
+  EXPECT_GT(torus_programs, 0);
   // The identities above would be vacuous if the algebraic engine had
   // declined every record: the counters must show closed-form walks,
   // cross-replay memo traffic (the same tape settles once per
