@@ -424,7 +424,7 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
         // partition raw -- the tape carries the boxed-access charges.
         proc.charge(parix::Op::kAlloc);
         piv = dpfl::fa_map_taped<double>(pivot_kernel(owned_row(a, k), k),
-                                         pivot_tape, piv);
+                                         pivot_tape, std::move(piv));
       } else {
         const Closure<double(double, Index)> copy_pivot(
             proc, [&a, k, &proc](double v, Index ix) {
@@ -464,7 +464,7 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
       if (taped) {
         proc.charge(parix::Op::kAlloc);  // eliminate closure record
         a = dpfl::fa_map_taped<double>(
-            eliminate_kernel(piv.local().data(), k), elim_tape, a);
+            eliminate_kernel(piv.local().data(), k), elim_tape, std::move(a));
       } else {
         const FArray<double> source = a;
         const FArray<double> pivot_rows = piv;
@@ -499,7 +499,8 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
       if (fusing)
         parix::note_fusion_rejected(parix::FusionReject::kShape);
       proc.charge(parix::Op::kAlloc);  // normalize closure record
-      a = dpfl::fa_map_taped<double>(normalize_kernel, norm_tape, a);
+      a = dpfl::fa_map_taped<double>(normalize_kernel, norm_tape,
+                                     std::move(a));
     } else {
       const FArray<double> final_a = a;
       const Closure<double(double, Index)> normalize(

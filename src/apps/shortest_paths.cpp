@@ -240,10 +240,10 @@ ShpathsResult shpaths_c_custom(int nprocs, int n, std::uint64_t seed,
             const std::uint32_t* brow =
                 &b_block[static_cast<std::size_t>(k) * block];
             std::uint32_t* nrow = &next[static_cast<std::size_t>(i) * block];
-            for (int j = 0; j < block; ++j) {
-              const std::uint32_t via = dist_add(aik, brow[j]);
-              if (via < nrow[j]) nrow[j] = via;
-            }
+            // Unconditional store: GCC vectorizes a min, not a
+            // conditional store.
+            for (int j = 0; j < block; ++j)
+              nrow[j] = std::min(nrow[j], dist_add(aik, brow[j]));
           }
         // A hand-tuned inner loop charges bare element operations.  The
         // "older version" of section 5.1 predates that tuning: its

@@ -156,13 +156,13 @@ class FArray {
 
   /// Mutable access to the partition storage when this FArray is its
   /// *sole* owner -- nullptr whenever the partition is shared.  The
-  /// fused update paths (DESIGN.md section 13) use this to implement
-  /// the persistent-update optimisation: a region map over a uniquely
-  /// owned array may overwrite the region in place, because no other
-  /// functional value can ever observe the old cells.  The vector was
-  /// created mutable (the constructor's make_shared) and only typed
-  /// const for sharing, so the const_cast does not touch an object
-  /// defined const.
+  /// fused update paths (DESIGN.md section 13) and fa_map_taped use
+  /// this to implement the persistent-update optimisation: a region
+  /// map over a uniquely owned array may overwrite the region in place,
+  /// because no other functional value can ever observe the old cells.
+  /// The vector was created mutable (the constructor's make_shared)
+  /// and only typed const for sharing, so the const_cast does not
+  /// touch an object defined const.
   std::vector<T>* mutable_local_if_unique() {
     if (local_ == nullptr || local_.use_count() != 1) return nullptr;
     return const_cast<std::vector<T>*>(local_.get());
@@ -256,19 +256,29 @@ FArray<T2> fa_map(const Closure<T2(T1, Index)>& map_f, const FArray<T1>& a) {
 /// (DESIGN.md section 12), turning every replay after the first into
 /// a cached closed-form walk.  gauss_dpfl's elimination tapes are the
 /// canonical example -- built once, replayed every step.
+///
+/// Handed the last handle to its partition (`std::move(a)`), a
+/// same-typed map runs the kernel in place (src == dst, which the
+/// row-run contract allows) and returns `a`: no other functional value
+/// can observe the old cells, the same reasoning as the fused paths'
+/// mutable_local_if_unique.  Both branches book the same charges.
 template <class T2, class T1, class RowF>
 FArray<T2> fa_map_taped(RowF&& row_f, const parix::ChargeTape& tape,
-                        const FArray<T1>& a) {
+                        FArray<T1> a) {
   SKIL_REQUIRE(a.valid(), "fa_map: invalid array");
   parix::Proc& proc = a.proc();
   const parix::TraceSpan span(proc, "fa_map");
+  std::vector<T2>* mine = nullptr;
+  if constexpr (std::is_same_v<T1, T2>) mine = a.mutable_local_if_unique();
+  std::vector<T2> fresh;
+  if (mine == nullptr) fresh.resize(a.local().size());
   const T1* src = a.local().data();
-  std::vector<T2> fresh(a.local().size());
+  T2* dst = mine != nullptr ? mine->data() : fresh.data();
   std::uint64_t elems = 0;
   std::uint64_t tapped = 0;
   for (const RowRun& run : a.my_runs()) {
-    tapped += row_f(run.row, run.col_begin, src + elems,
-                    fresh.data() + elems, run.col_count);
+    tapped += row_f(run.row, run.col_begin, src + elems, dst + elems,
+                    run.col_count);
     elems += static_cast<std::uint64_t>(run.col_count);
   }
   proc.replay(tape, tapped);
@@ -279,6 +289,9 @@ FArray<T2> fa_map_taped(RowF&& row_f, const parix::ChargeTape& tape,
   charge_apply(deferred, elems);
   charge_map_cell(deferred, elems);
   deferred.charge(op_kind<T2>(), elems);
+  if constexpr (std::is_same_v<T1, T2>) {
+    if (mine != nullptr) return a;
+  }
   return FArray<T2>(proc, a.dist_ptr(), std::move(fresh));
 }
 

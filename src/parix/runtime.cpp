@@ -61,11 +61,16 @@ ExecutionEngine parse_execution_engine(std::string_view name) {
 namespace {
 
 /// The per-step skeleton allocations (fresh FArray partitions, rotate
-/// buffers) are a few MB each -- above glibc's default mmap threshold,
-/// so every step would pay page faults on first touch and an munmap on
-/// free.  Pinning the threshold keeps those blocks on the free lists,
-/// where they recycle instantly.  Host-side only; virtual times do not
-/// observe the allocator.
+/// buffers) are up to a few MB each -- above glibc's default mmap
+/// threshold, so every step would pay page faults on first touch and an
+/// munmap on free.  Pinning the threshold keeps those blocks on the
+/// heap.  It also pins the trim threshold at its 128 KiB default, so a
+/// large block freed at the top of the heap still goes back to the OS
+/// and faults in again on the next step; the hot per-step maps avoid
+/// that round trip by updating a uniquely owned partition in place
+/// (fa_map_taped).  A larger M_TRIM_THRESHOLD would keep every freed
+/// block resident and lift peak RSS.  Host-side only; virtual times do
+/// not observe the allocator.
 void tune_host_allocator() {
 #ifdef __GLIBC__
   static const bool done = [] {

@@ -7,12 +7,6 @@
 
 namespace skil::support {
 
-std::uint32_t dist_add(std::uint32_t a, std::uint32_t b) {
-  if (a == kDistInf || b == kDistInf) return kDistInf;
-  const std::uint64_t sum = static_cast<std::uint64_t>(a) + b;
-  return sum >= kDistInf ? kDistInf : static_cast<std::uint32_t>(sum);
-}
-
 std::uint32_t distance_entry(int n, std::uint64_t seed, int i, int j,
                              double density, int max_weight) {
   (void)n;

@@ -61,8 +61,14 @@ class Matrix {
 /// additions saturate instead of wrapping.
 inline constexpr std::uint32_t kDistInf = 0xffffffffu;
 
-/// Saturating addition over path lengths: inf + x == inf.
-std::uint32_t dist_add(std::uint32_t a, std::uint32_t b);
+/// Saturating addition over path lengths: inf + x == inf, and a sum
+/// that overflows saturates to inf instead of wrapping.  Defined here,
+/// in carry form, so the (min,+) loops inline it and vectorize: a
+/// wrapped sum is smaller than either addend.
+inline std::uint32_t dist_add(std::uint32_t a, std::uint32_t b) {
+  const std::uint32_t sum = a + b;
+  return sum < a ? kDistInf : sum;
+}
 
 // ---------------------------------------------------------------------------
 // Workload generators (deterministic in `seed`).

@@ -64,7 +64,11 @@ TEST_P(ShortestPaths, HandWrittenCMatchesOracleBothVariants) {
 INSTANTIATE_TEST_SUITE_P(Grids, ShortestPaths,
                          ::testing::Values(SpCase{1, 12}, SpCase{4, 16},
                                            SpCase{4, 15}, SpCase{9, 21},
-                                           SpCase{16, 24}),
+                                           SpCase{16, 24},
+                                           // Block 75: a second gen_mult
+                                           // column tile and a vector
+                                           // remainder.
+                                           SpCase{4, 150}),
                          [](const auto& info) {
                            return "p" + std::to_string(info.param.p) + "_n" +
                                   std::to_string(info.param.n);

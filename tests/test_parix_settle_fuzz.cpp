@@ -2,7 +2,9 @@
 // settlement.
 //
 // Random compositions of taped skeletons (skil array_map_taped, dpfl
-// fa_map_taped, both driven by row kernels) interleaved with eager
+// fa_map_taped, both driven by row kernels; the DPFL map is handed its
+// array by copy, by its last handle -- updating in place -- or by move
+// while a second handle holds the partition) interleaved with eager
 // skeletons (array_zip, array_fold, array_copy, fa_fold -- each an
 // extra settlement point) run over random processor counts, array
 // shapes and topologies, three ways:
@@ -59,8 +61,16 @@ enum StepKind {
   kStepKinds
 };
 
+/// How a taped DPFL map step receives its array.
+enum Handoff {
+  kCopyIn = 0,  // f passed as an lvalue: shared, fresh partition
+  kMoveIn,      // std::move(f), the last handle: updated in place
+  kMoveShared,  // std::move(f) while a second handle stays alive
+};
+
 struct StepSpec {
   int kind = kSkilMap;
+  int handoff = kCopyIn;  // used by the taped kDpflMap steps
   std::vector<TapeEntrySpec> tape;  // used by the taped step kinds
   // A map is active on the columns [lo, lo + width) of each row, with
   // lo = (row * mul + add) % cols and width < cols: every row keeps an
@@ -118,18 +128,29 @@ ProgramSpec make_program(std::uint64_t seed) {
           TapeEntrySpec{kOps[rng() % 6], 1 + rng() % 4});
     prog.steps.push_back(std::move(step));
   }
+  // A separate stream, so the programs above stay those of the seed:
+  // half the taped DPFL maps take f by move, a third of those while a
+  // second handle keeps the partition shared.
+  std::mt19937_64 handoff_rng(seed ^ 0x5DEECE66Dull);
+  for (StepSpec& step : prog.steps) {
+    const int draw = static_cast<int>(handoff_rng() % 6);
+    step.handoff = draw < 3 ? kCopyIn : draw < 5 ? kMoveIn : kMoveShared;
+  }
   return prog;
 }
 
 /// What one run of a program produced: the timing artefacts, the final
-/// Skil and DPFL arrays (gathered on processor 0), and the taped maps'
-/// tapped and mapped element counts.
+/// Skil and DPFL arrays (gathered on processor 0), the taped maps'
+/// tapped and mapped element counts, and how many non-empty DPFL
+/// partitions a taped map updated in place or freshly.
 struct Outcome {
   parix::RunResult run;
   std::vector<double> skil;
   std::vector<double> dpfl;
   std::uint64_t tapped = 0;
   std::uint64_t mapped = 0;
+  std::uint64_t in_place = 0;
+  std::uint64_t fresh = 0;
 };
 
 double skil_map_f(double v, int row, int col) {
@@ -147,6 +168,8 @@ Outcome run_program(const ProgramSpec& prog, bool taped) {
   // own processor only).
   std::vector<std::uint64_t> tapped(prog.p, 0);
   std::vector<std::uint64_t> mapped(prog.p, 0);
+  std::vector<std::uint64_t> in_place(prog.p, 0);
+  std::vector<std::uint64_t> fresh(prog.p, 0);
   parix::RunConfig config{prog.p, parix::CostModel::t800()};
   out.run = parix::spmd_run(config, [&](parix::Proc& proc) {
     const auto charge_eager = [&proc](const std::vector<TapeEntrySpec>& t) {
@@ -228,8 +251,25 @@ Outcome run_program(const ProgramSpec& prog, bool taped) {
             // allocates when it constructs map_f.
             proc.charge(parix::Op::kAlloc);
             const parix::ChargeTape tape = build_tape(step.tape);
-            f = dpfl::fa_map_taped<double>(window_kernel(step, dpfl_map_f),
-                                           tape, f);
+            const auto kernel = window_kernel(step, dpfl_map_f);
+            const double* before = f.local().data();
+            if (step.handoff == kCopyIn) {
+              f = dpfl::fa_map_taped<double>(kernel, tape, f);
+            } else if (step.handoff == kMoveIn) {
+              f = dpfl::fa_map_taped<double>(kernel, tape, std::move(f));
+            } else {
+              // The held handle must keep the old values: the map
+              // falls back to a fresh partition.
+              const dpfl::FArray<double> held = f;
+              const std::vector<double> old_values = held.local();
+              f = dpfl::fa_map_taped<double>(kernel, tape, std::move(f));
+              EXPECT_EQ(held.local(), old_values);
+            }
+            if (!f.local().empty()) {
+              const bool same = f.local().data() == before;
+              EXPECT_EQ(same, step.handoff == kMoveIn);
+              (same ? in_place : fresh)[proc.id()] += 1;
+            }
           } else {
             const dpfl::Closure<double(double, Index)> map_f(
                 proc, window_body(step, dpfl_map_f));
@@ -261,6 +301,8 @@ Outcome run_program(const ProgramSpec& prog, bool taped) {
   for (int pid = 0; pid < prog.p; ++pid) {
     out.tapped += tapped[pid];
     out.mapped += mapped[pid];
+    out.in_place += in_place[pid];
+    out.fresh += fresh[pid];
   }
   return out;
 }
@@ -283,6 +325,8 @@ TEST(SettleFuzz, TapeOnPooledBitIdenticalToInterpAtOneAndFourCarriers) {
   const parix::SettleCounters before = parix::settle_counters();
   std::uint64_t tapped = 0;
   std::uint64_t mapped = 0;
+  std::uint64_t in_place = 0;
+  std::uint64_t fresh = 0;
   int torus_programs = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const ProgramSpec prog = make_program(seed * 0xD1B54A32D192ED03ull + 5);
@@ -327,12 +371,17 @@ TEST(SettleFuzz, TapeOnPooledBitIdenticalToInterpAtOneAndFourCarriers) {
     EXPECT_EQ(tape_one.tapped, tape_four.tapped);
     tapped += tape_one.tapped;
     mapped += tape_one.mapped;
+    in_place += tape_one.in_place + tape_four.in_place;
+    fresh += tape_one.fresh + tape_four.fresh;
   }
   // The windows must really select: some elements tapped, some not,
-  // and some programs placed on the torus.
+  // and some programs placed on the torus.  Both fa_map_taped branches
+  // must have run on non-empty partitions.
   EXPECT_GT(tapped, 0u);
   EXPECT_LT(tapped, mapped);
   EXPECT_GT(torus_programs, 0);
+  EXPECT_GT(in_place, 0u);
+  EXPECT_GT(fresh, 0u);
   // The identities above would be vacuous if the algebraic engine had
   // declined every record: the counters must show closed-form walks,
   // cross-replay memo traffic (the same tape settles once per

@@ -1,7 +1,10 @@
 // Unit and property tests for the sequential matrices and oracles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "support/matrix.h"
 
@@ -31,6 +34,30 @@ TEST(DistAdd, SaturatesAtInfinity) {
   EXPECT_EQ(dist_add(kDistInf, kDistInf), kDistInf);
   EXPECT_EQ(dist_add(3, 4), 7u);
   EXPECT_EQ(dist_add(kDistInf - 1, 1), kDistInf);  // saturation, no wrap
+}
+
+/// Independent reference: the sum in 64 bits, capped at infinity.
+std::uint32_t dist_add_wide(std::uint32_t a, std::uint32_t b) {
+  return static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(a) + b, kDistInf));
+}
+
+TEST(DistAdd, MatchesWideReferenceOnBoundaryPairs) {
+  const std::uint32_t edges[] = {0u,          1u,           0x7fffffffu,
+                                 0x80000000u, kDistInf - 1, kDistInf};
+  for (std::uint32_t a : edges)
+    for (std::uint32_t b : edges)
+      EXPECT_EQ(dist_add(a, b), dist_add_wide(a, b)) << a << " + " << b;
+}
+
+TEST(DistAdd, MatchesWideReferenceOnRandomPairs) {
+  std::mt19937_64 rng(20261017);
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t bits = rng();
+    const auto a = static_cast<std::uint32_t>(bits);
+    const auto b = static_cast<std::uint32_t>(bits >> 32);
+    ASSERT_EQ(dist_add(a, b), dist_add_wide(a, b)) << a << " + " << b;
+  }
 }
 
 TEST(DistanceMatrix, DiagonalIsZeroAndDeterministic) {
