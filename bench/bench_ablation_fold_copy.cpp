@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   const support::Cli cli =
       parse_cli(argc, argv, {"elems", "csv", "out-dir", "metrics-out",
                              "trace-out"});
-  const int elems = cli.get_int("elems", 100000);
+  const int elems = count_flag(cli, "elems", 100000);
 
   banner("A3 -- tree fold vs linear fold; memcpy copy vs map copy");
 

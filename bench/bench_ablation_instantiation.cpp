@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   const support::Cli cli =
       parse_cli(argc, argv, {"elems", "csv", "out-dir", "metrics-out",
                              "trace-out"});
-  const int elems = cli.get_int("elems", 200000);
+  const int elems = count_flag(cli, "elems", 200000);
   const int p = 4;
 
   banner("A2 -- instantiation vs closures for skeleton arguments "

@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
   const support::Cli cli =
       parse_cli(argc, argv, {"n", "p", "csv", "coll-csv", "out-dir",
                              "metrics-out", "trace-out"});
-  const int n = cli.get_int("n", 120);
-  const int p = cli.get_int("p", 16);
+  const int n = count_flag(cli, "n", 120);
+  const int p = count_flag(cli, "p", 16);
   const std::uint64_t seed = 555;
 
   banner("A1 -- ablation: virtual topology / asynchronous overlap / "

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   const support::Cli cli =
       parse_cli(argc, argv, {"elems", "csv", "out-dir", "metrics-out",
                              "trace-out"});
-  const int elems = cli.get_int("elems", 65536);
+  const int elems = count_flag(cli, "elems", 65536);
 
   banner("collective zoo -- vtime per (op, algorithm, p); payload " +
          std::to_string(elems) + " doubles where applicable");

@@ -126,6 +126,23 @@
 #include "parix/trace.h"
 #include "support/cli.h"
 
+namespace {
+
+/// Writes a counter group's fields (parix/counters.h) as
+/// "name": value pairs in list order.
+template <class Group>
+void print_fields(std::FILE* out, const Group& group) {
+  const char* sep = "";
+  for (const auto& field : Group::kFields) {
+    std::fprintf(out, "%s\"%.*s\": %llu", sep,
+                 static_cast<int>(field.name.size()), field.name.data(),
+                 static_cast<unsigned long long>(group.*field.member));
+    sep = ", ";
+  }
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace skil;
   using namespace skil::bench;
@@ -244,7 +261,7 @@ int main(int argc, char** argv) {
       const auto stop = std::chrono::steady_clock::now();
       const double wall = std::chrono::duration<double>(stop - start).count();
       const SweepSettleTotals totals = sum_settle_totals(cells);
-      if (totals.total_adds() > 0)
+      if (totals.settle.total_adds() > 0)
         std::fprintf(
             stderr,
             "  settle: %llu M adds closed (%llu M memoized, %llu M "
@@ -258,7 +275,7 @@ int main(int argc, char** argv) {
                                             1000000),
             static_cast<unsigned long long>(totals.settle.chain_adds /
                                             1000000),
-            100.0 * totals.closed_coverage());
+            100.0 * totals.settle.closed_coverage());
       if (totals.fusion.seen > 0)
         std::fprintf(
             stderr,
@@ -387,35 +404,13 @@ int main(int argc, char** argv) {
                      cell.skil_s, cell.dpfl_s, cell.c_s);
       }
       const SweepSettleTotals totals = sum_settle_totals(run.cells);
-      std::fprintf(
-          out,
-          "], \"settle_counters\": {"
-          "\"closed_runs\": %llu, \"closed_adds\": %llu, "
-          "\"memo_hits\": %llu, \"memo_misses\": %llu, "
-          "\"memo_adds\": %llu, \"probe_adds\": %llu, "
-          "\"chain_records\": %llu, \"chain_adds\": %llu, "
-          "\"closed_coverage\": %.6f}, "
-          "\"fusion_counters\": {"
-          "\"seen\": %llu, \"fused\": %llu, "
-          "\"rejected_shape\": %llu, \"rejected_order\": %llu, "
-          "\"rejected_path\": %llu, \"barriers_eliminated\": %llu, "
-          "\"tapes_eliminated\": %llu}",
-          static_cast<unsigned long long>(totals.settle.closed_runs),
-          static_cast<unsigned long long>(totals.settle.closed_adds),
-          static_cast<unsigned long long>(totals.settle.memo_hits),
-          static_cast<unsigned long long>(totals.settle.memo_misses),
-          static_cast<unsigned long long>(totals.settle.memo_adds),
-          static_cast<unsigned long long>(totals.settle.probe_adds),
-          static_cast<unsigned long long>(totals.settle.chain_records),
-          static_cast<unsigned long long>(totals.settle.chain_adds),
-          totals.closed_coverage(),
-          static_cast<unsigned long long>(totals.fusion.seen),
-          static_cast<unsigned long long>(totals.fusion.fused),
-          static_cast<unsigned long long>(totals.fusion.rejected_shape),
-          static_cast<unsigned long long>(totals.fusion.rejected_order),
-          static_cast<unsigned long long>(totals.fusion.rejected_path),
-          static_cast<unsigned long long>(totals.fusion.barriers_eliminated),
-          static_cast<unsigned long long>(totals.fusion.tapes_eliminated));
+      std::fprintf(out, "], \"settle_counters\": {");
+      print_fields(out, totals.settle);
+      std::fprintf(out,
+                   ", \"closed_coverage\": %.6f}, \"fusion_counters\": {",
+                   totals.settle.closed_coverage());
+      print_fields(out, totals.fusion);
+      std::fprintf(out, "}");
       // Collective-zoo counters (coll.h), summed over the best rep's
       // cells.  Always written (like fusion_counters): a tree-mode
       // report documents the zoo stayed off by showing zero non-tree
@@ -448,28 +443,9 @@ int main(int argc, char** argv) {
       // must be indistinguishable from a pre-v7 run's (the validator
       // enforces absence).
       if (prof_mode != parix::ProfMode::kOff) {
-        const parix::SchedulerTotals sched = sum_sched_totals(run.cells);
-        std::fprintf(
-            out,
-            ", \"scheduler\": {"
-            "\"fibers_run\": %llu, \"fibers_resumed\": %llu, "
-            "\"steal_attempts\": %llu, \"steal_successes\": %llu, "
-            "\"steal_failed_rounds\": %llu, "
-            "\"parks\": %llu, \"unparks\": %llu, \"run_ns\": %llu, "
-            "\"pool_acquires\": %llu, \"pool_hits\": %llu, "
-            "\"pool_misses\": %llu, \"pool_bytes\": %llu}",
-            static_cast<unsigned long long>(sched.fibers_run),
-            static_cast<unsigned long long>(sched.fibers_resumed),
-            static_cast<unsigned long long>(sched.steal_attempts),
-            static_cast<unsigned long long>(sched.steal_successes),
-            static_cast<unsigned long long>(sched.steal_failed_rounds),
-            static_cast<unsigned long long>(sched.parks),
-            static_cast<unsigned long long>(sched.unparks),
-            static_cast<unsigned long long>(sched.run_ns),
-            static_cast<unsigned long long>(sched.pool_acquires),
-            static_cast<unsigned long long>(sched.pool_hits),
-            static_cast<unsigned long long>(sched.pool_misses),
-            static_cast<unsigned long long>(sched.pool_bytes));
+        std::fprintf(out, ", \"scheduler\": {");
+        print_fields(out, sum_sched_totals(run.cells));
+        std::fprintf(out, "}");
       }
       std::fprintf(out, "}%s\n", r + 1 < runs.size() ? "," : "");
     }

@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
   const support::Cli cli =
       parse_cli(argc, argv, {"cells", "steps", "csv", "out-dir", "metrics-out",
                              "trace-out"});
-  const int cells = cli.get_int("cells", 1024);
-  const int steps = cli.get_int("steps", 50);
+  const int cells = count_flag(cli, "cells", 1024);
+  const int steps = count_flag(cli, "steps", 50);
 
   banner("Jacobi halo-exchange stencil, " + std::to_string(cells) +
          " cells, " + std::to_string(steps) + " steps");

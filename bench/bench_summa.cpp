@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                              "trace-out"});
   // Panels must be a few KB before the chunk-pipelined ring beats the
   // binomial tree; n = 256 gives 8 KB panels on the 8x8 grid.
-  const int n = cli.get_int("n", 256);
+  const int n = count_flag(cli, "n", 256);
   const std::uint64_t seed = 20260808;
 
   banner("SUMMA on split communicators vs Cannon rotations, n = " +

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   const support::Cli cli =
       parse_cli(argc, argv, {"n", "quick", "csv", "out-dir", "metrics-out",
                              "trace-out"});
-  const int n = cli.get_int("n", cli.get_bool("quick") ? 60 : 200);
+  const int n = count_flag(cli, "n", cli.get_bool("quick") ? 60 : 200);
   const std::uint64_t seed = 20260704;
 
   banner("Table 1 -- shortest paths, n = " + std::to_string(n) +

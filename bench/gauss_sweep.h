@@ -29,16 +29,13 @@ struct GaussCell {
   double c_s = 0.0;
   /// Host wall seconds this cell took (all three variants).
   double wall_s = 0.0;
-  /// Settlement counter deltas over this cell's three runs
-  /// (charge_tape.h).  Exact when the cell ran in its own forked
-  /// worker; in-process sequential sweeps accumulate them per cell
-  /// from the process-wide counters, which is equally exact there.
+  /// Settlement counters of this cell's three runs (charge_tape.h).
   parix::SettleCounters settle;
-  /// Skeleton fusion outcome deltas over this cell's three runs
+  /// Skeleton fusion outcomes of this cell's three runs
   /// (charge_tape.h): all zero under SKIL_FUSE=off.
   parix::FusionCounters fusion;
-  /// Host scheduler counter deltas over this cell's three runs
-  /// (prof.h): all zero under SKIL_PROF=off.
+  /// Host scheduler counters of this cell's three runs (prof.h): all
+  /// zero under SKIL_PROF=off.
   parix::SchedulerTotals sched;
   /// Collective-algorithm counters over this cell's three runs
   /// (coll.h): which algorithm family every collective resolved to.
@@ -53,20 +50,6 @@ struct SweepSettleTotals {
   parix::SettleCounters settle;
   parix::FusionCounters fusion;
   parix::CollectiveCounters coll;
-
-  /// All chain adds settlement accounted for, however retired.
-  std::uint64_t total_adds() const {
-    return settle.closed_adds + settle.memo_adds + settle.probe_adds +
-           settle.chain_adds;
-  }
-  /// Fraction of chain adds retired closed-form (freshly probed or
-  /// memoized) -- the ISSUE 6 coverage metric.
-  double closed_coverage() const {
-    const std::uint64_t total = total_adds();
-    if (total == 0) return 0.0;
-    return static_cast<double>(settle.closed_adds + settle.memo_adds) /
-           static_cast<double>(total);
-  }
 };
 
 /// Sums the host scheduler counters of a finished grid (prof.h) --
@@ -81,21 +64,8 @@ inline parix::SchedulerTotals sum_sched_totals(
 inline SweepSettleTotals sum_settle_totals(const std::vector<GaussCell>& cells) {
   SweepSettleTotals t;
   for (const GaussCell& cell : cells) {
-    t.settle.closed_runs += cell.settle.closed_runs;
-    t.settle.closed_adds += cell.settle.closed_adds;
-    t.settle.memo_hits += cell.settle.memo_hits;
-    t.settle.memo_misses += cell.settle.memo_misses;
-    t.settle.memo_adds += cell.settle.memo_adds;
-    t.settle.probe_adds += cell.settle.probe_adds;
-    t.settle.chain_records += cell.settle.chain_records;
-    t.settle.chain_adds += cell.settle.chain_adds;
-    t.fusion.seen += cell.fusion.seen;
-    t.fusion.fused += cell.fusion.fused;
-    t.fusion.rejected_shape += cell.fusion.rejected_shape;
-    t.fusion.rejected_order += cell.fusion.rejected_order;
-    t.fusion.rejected_path += cell.fusion.rejected_path;
-    t.fusion.barriers_eliminated += cell.fusion.barriers_eliminated;
-    t.fusion.tapes_eliminated += cell.fusion.tapes_eliminated;
+    t.settle += cell.settle;
+    t.fusion += cell.fusion;
     t.coll += cell.coll;
   }
   return t;
@@ -147,21 +117,8 @@ inline GaussCell run_gauss_cell(int p, int n, std::uint64_t seed) {
   const auto start = std::chrono::steady_clock::now();
   const auto account = [&cell](const parix::RunResult& run, double* out_s) {
     *out_s = run.vtime_seconds();
-    cell.settle.closed_runs += run.settle.closed_runs;
-    cell.settle.closed_adds += run.settle.closed_adds;
-    cell.settle.memo_hits += run.settle.memo_hits;
-    cell.settle.memo_misses += run.settle.memo_misses;
-    cell.settle.memo_adds += run.settle.memo_adds;
-    cell.settle.probe_adds += run.settle.probe_adds;
-    cell.settle.chain_records += run.settle.chain_records;
-    cell.settle.chain_adds += run.settle.chain_adds;
-    cell.fusion.seen += run.fusion.seen;
-    cell.fusion.fused += run.fusion.fused;
-    cell.fusion.rejected_shape += run.fusion.rejected_shape;
-    cell.fusion.rejected_order += run.fusion.rejected_order;
-    cell.fusion.rejected_path += run.fusion.rejected_path;
-    cell.fusion.barriers_eliminated += run.fusion.barriers_eliminated;
-    cell.fusion.tapes_eliminated += run.fusion.tapes_eliminated;
+    cell.settle += run.settle;
+    cell.fusion += run.fusion;
     cell.sched.add(run.scheduler);
     cell.coll += run.coll;
   };
@@ -216,33 +173,31 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
 
   // Wire format cell -> parent: the four timing doubles followed by
   // the settlement/fusion/scheduler/collective counters, fixed-width so
-  // a single read drains the pipe atomically (480 bytes, well under
-  // PIPE_BUF's 4096).  pack and unpack walk the same counter list.
-  struct CellWire {
-    double d[4];
-    std::uint64_t u[56];
-  };
-  static_assert(sizeof(CellWire) < 1024, "CellWire must stay one pipe write");
+  // a single read drains the pipe atomically (well under PIPE_BUF's
+  // 4096).  pack and unpack walk the same counter lists.
   const auto for_each_counter = [](GaussCell& c, auto&& visit) {
-    parix::SettleCounters& s = c.settle;
-    parix::FusionCounters& f = c.fusion;
-    parix::SchedulerTotals& t = c.sched;
-    for (std::uint64_t* v :
-         {&s.closed_runs, &s.closed_adds, &s.memo_hits, &s.memo_misses,
-          &s.memo_adds, &s.probe_adds, &s.chain_records, &s.chain_adds,
-          &f.seen, &f.fused, &f.rejected_shape, &f.rejected_order,
-          &f.rejected_path, &f.barriers_eliminated, &f.tapes_eliminated,
-          &t.fibers_run, &t.fibers_resumed, &t.steal_attempts,
-          &t.steal_successes, &t.steal_failed_rounds, &t.parks, &t.unparks,
-          &t.run_ns, &t.pool_acquires, &t.pool_hits, &t.pool_misses,
-          &t.pool_bytes})
-      visit(*v);
+    for (const auto& f : parix::SettleCounters::kFields)
+      visit(c.settle.*f.member);
+    for (const auto& f : parix::FusionCounters::kFields)
+      visit(c.fusion.*f.member);
+    for (const auto& f : parix::SchedulerTotals::kFields)
+      visit(c.sched.*f.member);
     for (auto& row : c.coll.calls)
       for (std::uint64_t& v : row) visit(v);
     for (std::uint64_t* per_op : {c.coll.bytes, c.coll.hops, c.coll.steps})
       for (int op = 0; op < parix::kNumCollOps; ++op) visit(per_op[op]);
     visit(c.coll.order_fallbacks);
   };
+  struct CellWire {
+    double d[4];
+    std::uint64_t u[std::size(parix::SettleCounters::kFields) +
+                    std::size(parix::FusionCounters::kFields) +
+                    parix::SchedulerTotals::kCount +
+                    // coll: calls per (op, algo); bytes, hops and steps
+                    // per op; order_fallbacks
+                    (parix::kNumCollAlgos + 3) * parix::kNumCollOps + 1];
+  };
+  static_assert(sizeof(CellWire) < 1024, "CellWire must stay one pipe write");
   auto pack = [&for_each_counter](GaussCell cell) {
     CellWire w;
     w.d[0] = cell.skil_s;

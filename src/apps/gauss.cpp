@@ -225,7 +225,7 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
     for (int k = 0; k < size; ++k) {
       const parix::TraceSpan step(proc, "gauss pivot round", k);
       if (fuse_on && !fusing)
-        parix::note_fusion_rejected(parix::FusionReject::kPath);
+        proc.fusion().note_rejected(parix::FusionReject::kPath);
       bool step_fused = fusing;
       if (pivoting) {
         const ElemRec e =
@@ -238,7 +238,7 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
           // coincide, which the row swap breaks.  Reject (kShape)
           // and run the step through the ordinary two-array path.
           if (fusing)
-            parix::note_fusion_rejected(parix::FusionReject::kShape);
+            proc.fusion().note_rejected(parix::FusionReject::kShape);
           step_fused = false;
           array_permute_rows(a, partial(switch_rows, e.row, k), b);
         } else if (!step_fused) {
@@ -283,7 +283,7 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
         proc.replay(elim_tape, active);
         parix::DeferredCharges deferred(proc);
         detail::array_map_charge_tail<double>(deferred, active);
-        parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+        proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
       } else if (taped) {
         array_map_taped(eliminate_kernel(piv.local().data(), k), elim_tape,
                         b, a);
@@ -292,7 +292,7 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
       }
     }
     if (fuse_on && !fusing)
-      parix::note_fusion_rejected(parix::FusionReject::kPath);
+      proc.fusion().note_rejected(parix::FusionReject::kPath);
     if (fusing) {
       // Fused normalize|gather: divide the right-hand-side column in
       // place (the diagonal read is never clobbered -- it sits left
@@ -303,7 +303,7 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
       proc.replay(norm_tape, active);
       parix::DeferredCharges deferred(proc);
       detail::array_map_charge_tail<double>(deferred, active);
-      parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+      proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
     } else if (taped) {
       array_map_taped(normalize_kernel, norm_tape, a, b);
     } else {
@@ -399,7 +399,7 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
     for (int k = 0; k < size; ++k) {
       const parix::TraceSpan step(proc, "gauss pivot round", k);
       if (fuse_on && !fusing)
-        parix::note_fusion_rejected(parix::FusionReject::kPath);
+        proc.fusion().note_rejected(parix::FusionReject::kPath);
       // copy_pivot: normalised pivot-row elements into this
       // processor's piv row when it owns the pivot row.
       std::vector<double>* pmut =
@@ -416,7 +416,7 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
           dpfl::charge_apply(proc, active);
           proc.charge(dpfl::op_kind<double>(), active);
         }
-        parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+        proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
       } else if (taped) {
         // The closure record the interp path allocates when it
         // constructs the copy_pivot Closure, charged at the same
@@ -456,11 +456,11 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
         proc.replay(elim_tape, active);
         dpfl::charge_apply(proc, active);
         proc.charge(dpfl::op_kind<double>(), active);
-        parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+        proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
         continue;
       }
       if (fusing)  // shared storage: cannot deforest in place
-        parix::note_fusion_rejected(parix::FusionReject::kShape);
+        proc.fusion().note_rejected(parix::FusionReject::kShape);
       if (taped) {
         proc.charge(parix::Op::kAlloc);  // eliminate closure record
         a = dpfl::fa_map_taped<double>(
@@ -481,7 +481,7 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
     }
 
     if (fuse_on && !fusing)
-      parix::note_fusion_rejected(parix::FusionReject::kPath);
+      proc.fusion().note_rejected(parix::FusionReject::kPath);
     std::vector<double>* amut =
         fusing ? a.mutable_local_if_unique() : nullptr;
     if (amut != nullptr) {
@@ -494,10 +494,10 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
       proc.replay(norm_tape, active);
       dpfl::charge_apply(proc, active);
       proc.charge(dpfl::op_kind<double>(), active);
-      parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+      proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
     } else if (taped) {
       if (fusing)
-        parix::note_fusion_rejected(parix::FusionReject::kShape);
+        proc.fusion().note_rejected(parix::FusionReject::kShape);
       proc.charge(parix::Op::kAlloc);  // normalize closure record
       a = dpfl::fa_map_taped<double>(normalize_kernel, norm_tape,
                                      std::move(a));

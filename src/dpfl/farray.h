@@ -544,10 +544,10 @@ FArray<T> fa_gen_mult_impl(const FArray<T>& a, const FArray<T>& b,
   }
 
   if (proc.fusing())
-    parix::note_fusion_fused(/*barriers=*/0,
+    proc.fusion().note_fused(/*barriers=*/0,
                              /*tapes=*/static_cast<std::uint64_t>(q - 1));
   else if (proc.fuse_mode() == parix::FuseMode::kOn)
-    parix::note_fusion_rejected(parix::FusionReject::kPath);
+    proc.fusion().note_rejected(parix::FusionReject::kPath);
 
   return FArray<T>(proc, a.dist_ptr(), std::move(c_block));
 }

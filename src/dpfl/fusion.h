@@ -98,7 +98,7 @@ FArray<T3> fa_force(const FaMapMapExpr<T3, T2, T1>& expr,
   parix::Proc& proc = a.proc();
   if (!proc.fusing()) {
     if (proc.fuse_mode() == parix::FuseMode::kOn)
-      parix::note_fusion_rejected(parix::FusionReject::kPath);
+      proc.fusion().note_rejected(parix::FusionReject::kPath);
     return fa_map(expr.g, fa_map(expr.f, a));
   }
   const parix::TraceSpan span(proc, "fused_fa_map");
@@ -118,7 +118,7 @@ FArray<T3> fa_force(const FaMapMapExpr<T3, T2, T1>& expr,
   charge_apply(proc, elems);
   charge_map_cell(proc, elems);
   proc.charge(op_kind<T3>(), elems);
-  parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+  proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
   return FArray<T3>(proc, a.dist_ptr(), std::move(fresh));
 }
 
@@ -133,7 +133,7 @@ R fa_force(const FaMapFoldExpr<R, T2, T1>& expr, const FArray<T1>& a) {
   parix::Proc& proc = a.proc();
   if (!proc.fusing()) {
     if (proc.fuse_mode() == parix::FuseMode::kOn)
-      parix::note_fusion_rejected(parix::FusionReject::kPath);
+      proc.fusion().note_rejected(parix::FusionReject::kPath);
     return fa_fold(expr.conv, expr.fold, fa_map(expr.f, a));
   }
   const parix::TraceSpan span(proc, "fused_fa_fold");
@@ -167,7 +167,7 @@ R fa_force(const FaMapFoldExpr<R, T2, T1>& expr, const FArray<T1>& a) {
   std::optional<R> result =
       parix::allreduce(proc, a.topology(), std::move(acc), merge);
   SKIL_REQUIRE(result.has_value(), "fa_force: array has no elements");
-  parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+  proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
   return *result;
 }
 

@@ -178,19 +178,6 @@ inline double ulp_materialize(int key, std::uint64_t m) {
                                (m & ((std::uint64_t{1} << 52) - 1)));
 }
 
-/// Per-settle counter accumulation; flushed to the process-wide
-/// atomics once per settle call.
-struct SettleLocal {
-  std::uint64_t closed_runs = 0;
-  std::uint64_t closed_adds = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
-  std::uint64_t memo_adds = 0;
-  std::uint64_t probe_adds = 0;
-  std::uint64_t chain_records = 0;
-  std::uint64_t chain_adds = 0;
-};
-
 /// One cross-replay memo entry: the two parity deltas probed for a
 /// (tape identity, entry count, unit table, binade) combination.  The
 /// key is collision-free by construction -- (tape id, n) names one
@@ -235,7 +222,7 @@ __attribute__((noinline)) MemoTable& settle_memo_table() {
 /// already known -- the walk uses it to attribute skipped adds to the
 /// memo vs to this settle's own probes.
 MemoEntry* memo_lookup(std::uint64_t tape_id, std::uint32_t n, int key,
-                       const double* units, SettleLocal* c, bool cached[2]) {
+                       const double* units, SettleCounters* c, bool cached[2]) {
   MemoTable& table = settle_memo_table();
   std::uint64_t h = tape_id * 0x9E3779B97F4A7C15ull;
   h ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key)) << 32) | n;
@@ -269,7 +256,7 @@ MemoEntry* memo_lookup(std::uint64_t tape_id, std::uint32_t n, int key,
 /// ledger's pending_adds semantics).
 void advance_chain(double& acc, const double* a, std::uint32_t n,
                    std::uint64_t times, std::uint64_t tape_id,
-                   const double* units, SettleLocal* c) {
+                   const double* units, SettleCounters* c) {
   double x = acc;
   std::uint64_t T = times;
   UlpDomain dom;
@@ -369,98 +356,29 @@ void advance_chain(double& acc, const double* a, std::uint32_t n,
   acc = x;
 }
 
-std::atomic<std::uint64_t> g_closed_runs{0};
-std::atomic<std::uint64_t> g_closed_adds{0};
-std::atomic<std::uint64_t> g_memo_hits{0};
-std::atomic<std::uint64_t> g_memo_misses{0};
-std::atomic<std::uint64_t> g_memo_adds{0};
-std::atomic<std::uint64_t> g_probe_adds{0};
-std::atomic<std::uint64_t> g_chain_records{0};
-std::atomic<std::uint64_t> g_chain_adds{0};
-
-void flush_settle_counters(const SettleLocal& local) {
-  const auto add = [](std::atomic<std::uint64_t>& counter, std::uint64_t v) {
-    if (v != 0) counter.fetch_add(v, std::memory_order_relaxed);
-  };
-  add(g_closed_runs, local.closed_runs);
-  add(g_closed_adds, local.closed_adds);
-  add(g_memo_hits, local.memo_hits);
-  add(g_memo_misses, local.memo_misses);
-  add(g_memo_adds, local.memo_adds);
-  add(g_probe_adds, local.probe_adds);
-  add(g_chain_records, local.chain_records);
-  add(g_chain_adds, local.chain_adds);
-}
-
 }  // namespace
 
-SettleCounters settle_counters() {
-  SettleCounters counters;
-  counters.closed_runs = g_closed_runs.load(std::memory_order_relaxed);
-  counters.closed_adds = g_closed_adds.load(std::memory_order_relaxed);
-  counters.memo_hits = g_memo_hits.load(std::memory_order_relaxed);
-  counters.memo_misses = g_memo_misses.load(std::memory_order_relaxed);
-  counters.memo_adds = g_memo_adds.load(std::memory_order_relaxed);
-  counters.probe_adds = g_probe_adds.load(std::memory_order_relaxed);
-  counters.chain_records = g_chain_records.load(std::memory_order_relaxed);
-  counters.chain_adds = g_chain_adds.load(std::memory_order_relaxed);
-  return counters;
+void FusionCounters::note_fused(std::uint64_t barriers, std::uint64_t tapes) {
+  ++seen;
+  ++fused;
+  barriers_eliminated += barriers;
+  tapes_eliminated += tapes;
 }
 
-// Fusion counters live on plain relaxed atomics (no thread-local
-// staging): fused paths note at most once per skeleton composition,
-// not per element, so contention is negligible.
-namespace {
-std::atomic<std::uint64_t> g_fusion_seen{0};
-std::atomic<std::uint64_t> g_fusion_fused{0};
-std::atomic<std::uint64_t> g_fusion_rejected_shape{0};
-std::atomic<std::uint64_t> g_fusion_rejected_order{0};
-std::atomic<std::uint64_t> g_fusion_rejected_path{0};
-std::atomic<std::uint64_t> g_fusion_barriers{0};
-std::atomic<std::uint64_t> g_fusion_tapes{0};
-}  // namespace
-
-FusionCounters fusion_counters() {
-  FusionCounters counters;
-  counters.seen = g_fusion_seen.load(std::memory_order_relaxed);
-  counters.fused = g_fusion_fused.load(std::memory_order_relaxed);
-  counters.rejected_shape =
-      g_fusion_rejected_shape.load(std::memory_order_relaxed);
-  counters.rejected_order =
-      g_fusion_rejected_order.load(std::memory_order_relaxed);
-  counters.rejected_path =
-      g_fusion_rejected_path.load(std::memory_order_relaxed);
-  counters.barriers_eliminated =
-      g_fusion_barriers.load(std::memory_order_relaxed);
-  counters.tapes_eliminated = g_fusion_tapes.load(std::memory_order_relaxed);
-  return counters;
-}
-
-void note_fusion_fused(std::uint64_t barriers, std::uint64_t tapes) {
-  g_fusion_seen.fetch_add(1, std::memory_order_relaxed);
-  g_fusion_fused.fetch_add(1, std::memory_order_relaxed);
-  if (barriers != 0)
-    g_fusion_barriers.fetch_add(barriers, std::memory_order_relaxed);
-  if (tapes != 0) g_fusion_tapes.fetch_add(tapes, std::memory_order_relaxed);
-}
-
-void note_fusion_rejected(FusionReject reason) {
-  g_fusion_seen.fetch_add(1, std::memory_order_relaxed);
+void FusionCounters::note_rejected(FusionReject reason) {
+  ++seen;
   switch (reason) {
-    case FusionReject::kShape:
-      g_fusion_rejected_shape.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case FusionReject::kOrder:
-      g_fusion_rejected_order.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case FusionReject::kPath:
-      g_fusion_rejected_path.fetch_add(1, std::memory_order_relaxed);
-      break;
+    case FusionReject::kShape: ++rejected_shape; break;
+    case FusionReject::kOrder: ++rejected_order; break;
+    case FusionReject::kPath: ++rejected_path; break;
   }
 }
 
-void ChargeLedger::settle_algebraic(double& vtime, Stats& stats) {
-  SettleLocal local;
+void ChargeLedger::settle_algebraic(double& vtime, Stats& stats,
+                                    SettleCounters& counters) {
+  // Counted into a local and added into the processor's counters once
+  // per settle, so the walk's increments stay in registers.
+  SettleCounters local;
   double vt = vtime;
   double cu = stats.compute_us;
   for (const Record& rec : records_) {
@@ -485,7 +403,7 @@ void ChargeLedger::settle_algebraic(double& vtime, Stats& stats) {
   }
   vtime = vt;
   stats.compute_us = cu;
-  flush_settle_counters(local);
+  counters += local;
   clear();
 }
 

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "parix/cost_model.h"
+#include "parix/counters.h"
 
 namespace skil::parix {
 
@@ -112,7 +113,7 @@ enum class FusionReject {
            ///< taped; SKIL_CHARGE=interp keeps the oracle unfused)
 };
 
-/// Cumulative fusion counters (process-wide), mirroring SettleCounters:
+/// Fusion counters of one processor, summed into RunResult::fusion:
 /// how many fusible compositions the fused paths saw, how many actually
 /// fused, how many were rejected (by reason), and what the fused forms
 /// eliminated -- whole tape passes and collective barrier rounds.
@@ -127,17 +128,30 @@ struct FusionCounters {
   std::uint64_t barriers_eliminated = 0;
   std::uint64_t tapes_eliminated = 0;
 
+  static constexpr CounterField<FusionCounters> kFields[] = {
+      {"seen", &FusionCounters::seen},
+      {"fused", &FusionCounters::fused},
+      {"rejected_shape", &FusionCounters::rejected_shape},
+      {"rejected_order", &FusionCounters::rejected_order},
+      {"rejected_path", &FusionCounters::rejected_path},
+      {"barriers_eliminated", &FusionCounters::barriers_eliminated},
+      {"tapes_eliminated", &FusionCounters::tapes_eliminated},
+  };
+
   std::uint64_t rejected() const {
     return rejected_shape + rejected_order + rejected_path;
   }
-};
-FusionCounters fusion_counters();
 
-/// Notes one composition that fused, eliminating `barriers` collective
-/// rounds and `tapes` whole tape/charge passes.  Increments seen too.
-void note_fusion_fused(std::uint64_t barriers = 0, std::uint64_t tapes = 1);
-/// Notes one composition that was recognised but ran unfused.
-void note_fusion_rejected(FusionReject reason);
+  /// Notes one composition that fused, eliminating `barriers` collective
+  /// rounds and `tapes` whole tape/charge passes.  Increments seen too.
+  /// Out of line (charge_tape.cpp), so a note adds one call, not
+  /// inlined code, to the app and skeleton bodies around it.
+  void note_fused(std::uint64_t barriers, std::uint64_t tapes);
+  /// Notes one composition that was recognised but ran unfused.
+  void note_rejected(FusionReject reason);
+
+  bool operator==(const FusionCounters&) const = default;
+};
 
 /// One element's recorded charge sequence: op kinds and counts in the
 /// exact order the interpretive path would charge them.
@@ -217,15 +231,15 @@ class ChargeTape {
   std::uint64_t id_;
 };
 
-/// Cumulative algebraic-settlement counters (process-wide, relaxed
-/// atomics underneath).  `closed_adds` / `memo_adds` are chain adds
-/// the walk *skipped* (retired in closed form, the delta freshly
-/// probed this settle vs served from the cross-replay memo);
-/// `probe_adds` are real adds spent measuring period deltas;
-/// `chain_adds` are real adds on records the algebraic engine
-/// declined (chain-only flags, tiny repetition counts, binade-
-/// boundary periods).  Together they account for every pending chain
-/// add, which is how the bench proves its closed-form coverage claim.
+/// Algebraic-settlement counters of one processor, summed into
+/// RunResult::settle.  `closed_adds` / `memo_adds` are chain adds the
+/// walk *skipped* (retired in closed form, the delta freshly probed
+/// this settle vs served from the cross-replay memo); `probe_adds` are
+/// real adds spent measuring period deltas; `chain_adds` are real adds
+/// on records the algebraic engine declined (chain-only flags, tiny
+/// repetition counts, binade-boundary periods).  Together they account
+/// for every pending chain add, which is how the bench proves its
+/// closed-form coverage claim.
 struct SettleCounters {
   std::uint64_t closed_runs = 0;     ///< records retired via closed-form walks
   std::uint64_t closed_adds = 0;     ///< adds skipped with freshly probed deltas
@@ -235,8 +249,33 @@ struct SettleCounters {
   std::uint64_t probe_adds = 0;      ///< real adds spent learning period deltas
   std::uint64_t chain_records = 0;   ///< records plain-chained by the engine
   std::uint64_t chain_adds = 0;      ///< real adds plain-chained by the engine
+
+  static constexpr CounterField<SettleCounters> kFields[] = {
+      {"closed_runs", &SettleCounters::closed_runs},
+      {"closed_adds", &SettleCounters::closed_adds},
+      {"memo_hits", &SettleCounters::memo_hits},
+      {"memo_misses", &SettleCounters::memo_misses},
+      {"memo_adds", &SettleCounters::memo_adds},
+      {"probe_adds", &SettleCounters::probe_adds},
+      {"chain_records", &SettleCounters::chain_records},
+      {"chain_adds", &SettleCounters::chain_adds},
+  };
+
+  /// All chain adds settlement accounted for, however retired.
+  std::uint64_t total_adds() const {
+    return closed_adds + memo_adds + probe_adds + chain_adds;
+  }
+  /// Fraction of chain adds retired closed-form (freshly probed or
+  /// memoized).
+  double closed_coverage() const {
+    const std::uint64_t total = total_adds();
+    return total == 0 ? 0.0
+                      : static_cast<double>(closed_adds + memo_adds) /
+                            static_cast<double>(total);
+  }
+
+  bool operator==(const SettleCounters&) const = default;
 };
-SettleCounters settle_counters();
 
 /// Deferred charge ledger: the queue of replay and bulk-charge records
 /// a processor has accumulated but not yet folded into its clock.
@@ -365,8 +404,9 @@ class ChargeLedger {
   /// Settles every pending record algebraically: walkable records
   /// retire via the closed-form ulp walk (bit-identical to settle()
   /// by the parity argument of DESIGN.md section 12), chain-only and
-  /// tiny records via the plain chain.  Defined in charge_tape.cpp.
-  void settle_algebraic(double& vtime, Stats& stats);
+  /// tiny records via the plain chain, and adds how into `counters`.
+  /// Defined in charge_tape.cpp.
+  void settle_algebraic(double& vtime, Stats& stats, SettleCounters& counters);
 
   void clear() {
     entries_.clear();

@@ -635,7 +635,10 @@ std::vector<U> allreduce_elems(Proc& proc, const Topology& topo,
       coll_detail::coll_send<std::vector<U>>(proc, topo, CollOp::kAllreduce,
                                              dst, tag, std::move(out));
       std::vector<U> in = proc.recv<std::vector<U>>(src, tag);
-      const std::size_t ilo = b(wrap(me - s - 1));
+      const int in_seg = wrap(me - s - 1);
+      const std::size_t ilo = b(in_seg);
+      SKIL_ASSERT(in.size() == b(in_seg + 1) - ilo,
+                  "allreduce_elems: neighbour segment size mismatch");
       for (std::size_t j = 0; j < in.size(); ++j)
         local[ilo + j] = elem_op(in[j], local[ilo + j]);
       proc.charge_elems(kind, in.size());
@@ -650,7 +653,10 @@ std::vector<U> allreduce_elems(Proc& proc, const Topology& topo,
       coll_detail::coll_send<std::vector<U>>(proc, topo, CollOp::kAllreduce,
                                              dst, tag + 1, std::move(out));
       std::vector<U> in = proc.recv<std::vector<U>>(src, tag + 1);
-      const std::size_t ilo = b(wrap(me - s));
+      const int in_seg = wrap(me - s);
+      const std::size_t ilo = b(in_seg);
+      SKIL_ASSERT(in.size() == b(in_seg + 1) - ilo,
+                  "allreduce_elems: neighbour segment size mismatch");
       std::copy(in.begin(), in.end(),
                 local.begin() + static_cast<std::ptrdiff_t>(ilo));
       coll_detail::note_steps(proc, CollOp::kAllreduce);

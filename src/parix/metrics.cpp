@@ -422,6 +422,17 @@ void write_stats(std::ostream& out, const Stats& stats) {
   out << "}}";
 }
 
+/// Writes a counter group's fields (counters.h) as "name":value pairs
+/// in list order.
+template <class Group>
+void write_fields(std::ostream& out, const Group& group) {
+  const char* sep = "";
+  for (const auto& field : Group::kFields) {
+    out << sep << '"' << field.name << "\":" << group.*field.member;
+    sep = ",";
+  }
+}
+
 }  // namespace
 
 void write_metrics_json(const RunResult& result, std::ostream& out) {
@@ -438,38 +449,17 @@ void write_metrics_json(const RunResult& result, std::ostream& out) {
   // chain adds were retired -- closed-form walks, memoized walks,
   // probes, plain chains -- plus the derived closed-form coverage
   // fraction the perf claims are gated on.
-  {
-    const SettleCounters& s = result.settle;
-    const std::uint64_t total_adds =
-        s.closed_adds + s.memo_adds + s.probe_adds + s.chain_adds;
-    const double coverage =
-        total_adds > 0
-            ? static_cast<double>(s.closed_adds + s.memo_adds) /
-                  static_cast<double>(total_adds)
-            : 0.0;
-    out << ",\"settlement\":{\"closed_runs\":" << s.closed_runs
-        << ",\"closed_adds\":" << s.closed_adds
-        << ",\"memo_hits\":" << s.memo_hits
-        << ",\"memo_misses\":" << s.memo_misses
-        << ",\"memo_adds\":" << s.memo_adds
-        << ",\"probe_adds\":" << s.probe_adds
-        << ",\"chain_records\":" << s.chain_records
-        << ",\"chain_adds\":" << s.chain_adds
-        << ",\"closed_coverage\":" << fmt_double(coverage) << "}";
-  }
+  out << ",\"settlement\":{";
+  write_fields(out, result.settle);
+  out << ",\"closed_coverage\":" << fmt_double(result.settle.closed_coverage())
+      << "}";
 
   // Fusion accounting (charge_tape.h): how many skeleton compositions
   // this run saw, fused, or rejected (by reason), and what the fused
   // forms eliminated.  All zero under SKIL_FUSE=off.
-  {
-    const FusionCounters& f = result.fusion;
-    out << ",\"fusion\":{\"seen\":" << f.seen << ",\"fused\":" << f.fused
-        << ",\"rejected_shape\":" << f.rejected_shape
-        << ",\"rejected_order\":" << f.rejected_order
-        << ",\"rejected_path\":" << f.rejected_path
-        << ",\"barriers_eliminated\":" << f.barriers_eliminated
-        << ",\"tapes_eliminated\":" << f.tapes_eliminated << "}";
-  }
+  out << ",\"fusion\":{";
+  write_fields(out, result.fusion);
+  out << "}";
 
   // Collective accounting (parix/coll.h): which algorithm every
   // collective call resolved to, plus the wire bytes, physical hop
@@ -510,14 +500,9 @@ void write_metrics_json(const RunResult& result, std::ostream& out) {
                                static_cast<double>(sr.wall_ns)
                          : 0.0;
       if (c > 0) out << ",";
-      out << "{\"carrier\":" << c << ",\"fibers_run\":" << lane.fibers_run
-          << ",\"fibers_resumed\":" << lane.fibers_resumed
-          << ",\"steal_attempts\":" << lane.steal_attempts
-          << ",\"steal_successes\":" << lane.steal_successes
-          << ",\"steal_failed_rounds\":" << lane.steal_failed_rounds
-          << ",\"parks\":" << lane.parks << ",\"unparks\":" << lane.unparks
-          << ",\"run_ns\":" << lane.run_ns
-          << ",\"utilization_pct\":" << fmt_double(util) << "}";
+      out << "{\"carrier\":" << c << ",";
+      write_fields(out, lane);
+      out << ",\"utilization_pct\":" << fmt_double(util) << "}";
     }
     const std::uint64_t pool_acquires = sr.pool.acquires;
     const double pool_hit_rate =

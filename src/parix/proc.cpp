@@ -4,7 +4,7 @@ namespace skil::parix {
 
 void Proc::settle_pending() {
   const std::uint64_t pending = ledger_.pending_adds();
-  ledger_.settle_algebraic(vtime_, stats_);
+  ledger_.settle_algebraic(vtime_, stats_, settle_counters_);
   // Zero-virtual-width span marking the settlement and how many chain
   // adds it retired (full trace mode only, so the spans-mode skeleton
   // summaries stay untouched).  The clock is already settled, so this

@@ -272,6 +272,12 @@ class Proc {
   CollectiveCounters& coll_counters() { return coll_counters_; }
   const CollectiveCounters& coll_counters() const { return coll_counters_; }
 
+  /// Per-proc settlement and fusion counts (charge_tape.h), summed into
+  /// RunResult::settle and ::fusion after the run's last settlement.
+  /// Settlement counts itself; fused paths note through fusion().
+  const SettleCounters& settlement() const { return settle_counters_; }
+  FusionCounters& fusion() { return fusion_counters_; }
+
   /// The memoized SKIL_COLL=auto value for `key` (collectives.h): a
   /// lock-free hit in this processor's memo, else the run's
   /// (Machine::coll_pick), which evaluates `compute()` once for all
@@ -382,9 +388,11 @@ class Proc {
   FuseMode fuse_mode_ = default_fuse_mode();
   /// Collective-algorithm family switch (parix/coll.h).
   CollMode coll_mode_ = default_coll_mode();
-  /// Collective statistics (parix/coll.h); never read by the cost
-  /// model, so recording them cannot perturb virtual time.
+  /// Collective, settlement and fusion statistics; never read by the
+  /// cost model, so recording them cannot perturb virtual time.
   CollectiveCounters coll_counters_;
+  SettleCounters settle_counters_;
+  FusionCounters fusion_counters_;
   /// SKIL_COLL=auto decisions this processor has looked up.
   CollPickMemo coll_picks_;
   /// Per-proc trace recorder; nullptr (the default) keeps every trace

@@ -94,30 +94,12 @@ void prof_ensure_registry(int carriers) {
     // Carry the cumulative counts over so before/after deltas spanning
     // a resize stay exact.  Writers are quiescent here: the executor
     // only resizes between runs.
-    for (int i = 0; i < current->n; ++i) {
-      const CarrierCounters& src = current->carriers[i];
-      CarrierCounters& dst = lanes[i];
-      dst.fibers_run.store(src.fibers_run.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-      dst.fibers_resumed.store(
-          src.fibers_resumed.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      dst.steal_attempts.store(
-          src.steal_attempts.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      dst.steal_successes.store(
-          src.steal_successes.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      dst.steal_failed_rounds.store(
-          src.steal_failed_rounds.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      dst.parks.store(src.parks.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-      dst.unparks.store(src.unparks.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-      dst.run_ns.store(src.run_ns.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    }
+    for (int i = 0; i < current->n; ++i)
+      for (const CarrierReport::Field& f : CarrierReport::kFields)
+        (lanes[i].*f.counter)
+            .store((current->carriers[i].*f.counter)
+                       .load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
   }
   grown->carriers = lanes.get();
   grown->n = carriers;
@@ -151,59 +133,24 @@ PoolCounters prof_pool_counters() {
   return pool_counters_slot();
 }
 
-RegistrySnapshot prof_snapshot() {
-  RegistrySnapshot snapshot;
+std::vector<CarrierReport> prof_snapshot() {
+  std::vector<CarrierReport> lanes;
   ProfRegistry* registry =
       prof_detail::g_registry.load(std::memory_order_acquire);
-  if (registry == nullptr) return snapshot;
-  snapshot.lanes.reserve(static_cast<std::size_t>(registry->n));
-  for (int i = 0; i < registry->n; ++i) {
-    const CarrierCounters& c = registry->carriers[i];
-    RegistrySnapshot::Lane lane;
-    lane.fibers_run = c.fibers_run.load(std::memory_order_relaxed);
-    lane.fibers_resumed = c.fibers_resumed.load(std::memory_order_relaxed);
-    lane.steal_attempts = c.steal_attempts.load(std::memory_order_relaxed);
-    lane.steal_successes = c.steal_successes.load(std::memory_order_relaxed);
-    lane.steal_failed_rounds =
-        c.steal_failed_rounds.load(std::memory_order_relaxed);
-    lane.parks = c.parks.load(std::memory_order_relaxed);
-    lane.unparks = c.unparks.load(std::memory_order_relaxed);
-    lane.run_ns = c.run_ns.load(std::memory_order_relaxed);
-    snapshot.lanes.push_back(lane);
-  }
-  return snapshot;
+  if (registry == nullptr) return lanes;
+  lanes.resize(static_cast<std::size_t>(registry->n));
+  for (int i = 0; i < registry->n; ++i)
+    for (const CarrierReport::Field& f : CarrierReport::kFields)
+      lanes[static_cast<std::size_t>(i)].*f.member =
+          (registry->carriers[i].*f.counter).load(std::memory_order_relaxed);
+  return lanes;
 }
 
 void SchedulerTotals::add(const SchedulerReport& report) {
-  for (const CarrierReport& c : report.per_carrier) {
-    fibers_run += c.fibers_run;
-    fibers_resumed += c.fibers_resumed;
-    steal_attempts += c.steal_attempts;
-    steal_successes += c.steal_successes;
-    steal_failed_rounds += c.steal_failed_rounds;
-    parks += c.parks;
-    unparks += c.unparks;
-    run_ns += c.run_ns;
-  }
-  pool_acquires += report.pool.acquires;
-  pool_hits += report.pool.hits;
-  pool_misses += report.pool.misses;
-  pool_bytes += report.pool.bytes;
-}
-
-void SchedulerTotals::add(const SchedulerTotals& other) {
-  fibers_run += other.fibers_run;
-  fibers_resumed += other.fibers_resumed;
-  steal_attempts += other.steal_attempts;
-  steal_successes += other.steal_successes;
-  steal_failed_rounds += other.steal_failed_rounds;
-  parks += other.parks;
-  unparks += other.unparks;
-  run_ns += other.run_ns;
-  pool_acquires += other.pool_acquires;
-  pool_hits += other.pool_hits;
-  pool_misses += other.pool_misses;
-  pool_bytes += other.pool_bytes;
+  for (const CarrierReport& carrier : report.per_carrier)
+    static_cast<CarrierReport&>(*this) += carrier;
+  for (const Field& f : kFields)
+    if (f.pool != nullptr) this->*f.member += report.pool.*f.pool;
 }
 
 namespace {

@@ -25,12 +25,17 @@
 // executor_set_carriers calls), so the retained memory is noise.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string_view>
 #include <vector>
+
+#include "parix/counters.h"
 
 namespace skil::parix {
 
@@ -128,19 +133,16 @@ struct PoolCounters {
 void prof_note_pool_acquire(bool hit, std::uint64_t bytes);
 PoolCounters prof_pool_counters();
 
-/// A point-in-time copy of the registry, used for before/after deltas.
-struct RegistrySnapshot {
-  struct Lane {
-    std::uint64_t fibers_run, fibers_resumed;
-    std::uint64_t steal_attempts, steal_successes, steal_failed_rounds;
-    std::uint64_t parks, unparks, run_ns;
-  };
-  std::vector<Lane> lanes;
-};
-RegistrySnapshot prof_snapshot();
-
-/// One carrier's activity during a run (delta of two snapshots).
+/// One carrier's counts: cumulative in prof_snapshot, a run's activity
+/// in SchedulerReport (the delta of two snapshots).  Each field lists
+/// the CarrierCounters atomic it reads.
 struct CarrierReport {
+  struct Field {
+    std::string_view name;
+    std::uint64_t CarrierReport::*member;
+    std::atomic<std::uint64_t> CarrierCounters::*counter;
+  };
+
   std::uint64_t fibers_run = 0;
   std::uint64_t fibers_resumed = 0;
   std::uint64_t steal_attempts = 0;
@@ -149,7 +151,27 @@ struct CarrierReport {
   std::uint64_t parks = 0;
   std::uint64_t unparks = 0;
   std::uint64_t run_ns = 0;
+
+  static constexpr Field kFields[] = {
+      {"fibers_run", &CarrierReport::fibers_run, &CarrierCounters::fibers_run},
+      {"fibers_resumed", &CarrierReport::fibers_resumed,
+       &CarrierCounters::fibers_resumed},
+      {"steal_attempts", &CarrierReport::steal_attempts,
+       &CarrierCounters::steal_attempts},
+      {"steal_successes", &CarrierReport::steal_successes,
+       &CarrierCounters::steal_successes},
+      {"steal_failed_rounds", &CarrierReport::steal_failed_rounds,
+       &CarrierCounters::steal_failed_rounds},
+      {"parks", &CarrierReport::parks, &CarrierCounters::parks},
+      {"unparks", &CarrierReport::unparks, &CarrierCounters::unparks},
+      {"run_ns", &CarrierReport::run_ns, &CarrierCounters::run_ns},
+  };
+
+  bool operator==(const CarrierReport&) const = default;
 };
+
+/// Every registry lane's cumulative counts, for before/after deltas.
+std::vector<CarrierReport> prof_snapshot();
 
 /// The per-run scheduler report carried on RunResult and exported as
 /// the `scheduler` object of the metrics JSON.  `carriers` is 0 for
@@ -168,23 +190,48 @@ struct SchedulerReport {
 
 /// Flat, carrier-summed totals -- the shape the bench sweeps ship over
 /// the fork-pipe wire and aggregate across cells.
-struct SchedulerTotals {
-  std::uint64_t fibers_run = 0;
-  std::uint64_t fibers_resumed = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t steal_successes = 0;
-  std::uint64_t steal_failed_rounds = 0;
-  std::uint64_t parks = 0;
-  std::uint64_t unparks = 0;
-  std::uint64_t run_ns = 0;
+struct SchedulerTotals : CarrierReport {
+  /// A field, and the PoolCounters member it sums (null for the
+  /// carrier fields, which sum SchedulerReport::per_carrier).
+  struct Field {
+    std::string_view name;
+    std::uint64_t SchedulerTotals::*member;
+    std::uint64_t PoolCounters::*pool;
+  };
+
   std::uint64_t pool_acquires = 0;
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
   std::uint64_t pool_bytes = 0;
 
+  /// The carriers' fields, then the four pool fields.
+  static constexpr std::size_t kCount = std::size(CarrierReport::kFields) + 4;
+  static const std::array<Field, kCount> kFields;
+
   void add(const SchedulerReport& report);
-  void add(const SchedulerTotals& other);
+  void add(const SchedulerTotals& other) { *this += other; }
+
+  bool operator==(const SchedulerTotals&) const = default;
 };
+
+inline constexpr std::array<SchedulerTotals::Field, SchedulerTotals::kCount>
+    SchedulerTotals::kFields = [] {
+      std::array<Field, kCount> fields{};
+      std::size_t i = 0;
+      for (const CarrierReport::Field& f : CarrierReport::kFields)
+        fields[i++] = {f.name, f.member, nullptr};
+      for (const Field& f :
+           {Field{"pool_acquires", &SchedulerTotals::pool_acquires,
+                  &PoolCounters::acquires},
+            Field{"pool_hits", &SchedulerTotals::pool_hits,
+                  &PoolCounters::hits},
+            Field{"pool_misses", &SchedulerTotals::pool_misses,
+                  &PoolCounters::misses},
+            Field{"pool_bytes", &SchedulerTotals::pool_bytes,
+                  &PoolCounters::bytes}})
+        fields.at(i++) = f;
+      return fields;
+    }();
 
 /// One sampler tick of one carrier.  `fibers_run` / `steal_successes`
 /// are cumulative counter values at the tick (consumers diff adjacent

@@ -163,8 +163,8 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
   const bool prof_pooled = prof_on && engine == ExecutionEngine::kPooled;
   if (prof_pooled) executor_prof_prepare();
   const ProfActivation prof_active(prof_on);
-  const RegistrySnapshot prof_before =
-      prof_on ? prof_snapshot() : RegistrySnapshot{};
+  const std::vector<CarrierReport> prof_before =
+      prof_on ? prof_snapshot() : std::vector<CarrierReport>{};
   const PoolCounters pool_before =
       prof_on ? prof_pool_counters() : PoolCounters{};
   std::unique_ptr<ProfSampler> sampler;
@@ -175,8 +175,6 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
   }
 
   std::exception_ptr first_failure;
-  const SettleCounters settle_before = settle_counters();
-  const FusionCounters fusion_before = fusion_counters();
   const auto wall_start = std::chrono::steady_clock::now();
   if (engine == ExecutionEngine::kPooled) {
     machine.set_fiber_wait(true);
@@ -200,39 +198,14 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
     result.proc_stats.push_back(proc->stats());
     result.total += proc->stats();
     result.coll += proc->coll_counters();
+    result.settle += proc->settlement();
+    result.fusion += proc->fusion();
   }
   result.vtime_us =
       *std::max_element(result.proc_vtimes.begin(), result.proc_vtimes.end());
   result.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   result.trace = std::move(trace);
-  // Counter deltas over the run window (process-wide atomics; see the
-  // RunResult field comments for the concurrency caveat).
-  {
-    const SettleCounters s = settle_counters();
-    result.settle.closed_runs = s.closed_runs - settle_before.closed_runs;
-    result.settle.closed_adds = s.closed_adds - settle_before.closed_adds;
-    result.settle.memo_hits = s.memo_hits - settle_before.memo_hits;
-    result.settle.memo_misses = s.memo_misses - settle_before.memo_misses;
-    result.settle.memo_adds = s.memo_adds - settle_before.memo_adds;
-    result.settle.probe_adds = s.probe_adds - settle_before.probe_adds;
-    result.settle.chain_records =
-        s.chain_records - settle_before.chain_records;
-    result.settle.chain_adds = s.chain_adds - settle_before.chain_adds;
-    const FusionCounters f = fusion_counters();
-    result.fusion.seen = f.seen - fusion_before.seen;
-    result.fusion.fused = f.fused - fusion_before.fused;
-    result.fusion.rejected_shape =
-        f.rejected_shape - fusion_before.rejected_shape;
-    result.fusion.rejected_order =
-        f.rejected_order - fusion_before.rejected_order;
-    result.fusion.rejected_path =
-        f.rejected_path - fusion_before.rejected_path;
-    result.fusion.barriers_eliminated =
-        f.barriers_eliminated - fusion_before.barriers_eliminated;
-    result.fusion.tapes_eliminated =
-        f.tapes_eliminated - fusion_before.tapes_eliminated;
-  }
   if (prof_on) {
     if (sampler) result.prof = sampler->stop();
     SchedulerReport& sched = result.scheduler;
@@ -245,25 +218,11 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
     // (the registry never shrinks, so stale wider lanes are all-zero).
     const int carriers = prof_pooled ? executor_carriers() : 0;
     sched.carriers = carriers;
-    const RegistrySnapshot after = prof_snapshot();
-    for (int i = 0;
-         i < carriers && i < static_cast<int>(after.lanes.size()); ++i) {
-      const RegistrySnapshot::Lane before =
-          i < static_cast<int>(prof_before.lanes.size())
-              ? prof_before.lanes[static_cast<std::size_t>(i)]
-              : RegistrySnapshot::Lane{};
-      const RegistrySnapshot::Lane& now =
-          after.lanes[static_cast<std::size_t>(i)];
-      CarrierReport lane;
-      lane.fibers_run = now.fibers_run - before.fibers_run;
-      lane.fibers_resumed = now.fibers_resumed - before.fibers_resumed;
-      lane.steal_attempts = now.steal_attempts - before.steal_attempts;
-      lane.steal_successes = now.steal_successes - before.steal_successes;
-      lane.steal_failed_rounds =
-          now.steal_failed_rounds - before.steal_failed_rounds;
-      lane.parks = now.parks - before.parks;
-      lane.unparks = now.unparks - before.unparks;
-      lane.run_ns = now.run_ns - before.run_ns;
+    const std::vector<CarrierReport> after = prof_snapshot();
+    for (int i = 0; i < carriers && i < static_cast<int>(after.size()); ++i) {
+      CarrierReport lane = after[static_cast<std::size_t>(i)];
+      if (i < static_cast<int>(prof_before.size()))
+        lane -= prof_before[static_cast<std::size_t>(i)];
       sched.per_carrier.push_back(lane);
     }
     const PoolCounters pool_after = prof_pool_counters();
@@ -271,7 +230,7 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
     sched.pool.hits = pool_after.hits - pool_before.hits;
     sched.pool.misses = pool_after.misses - pool_before.misses;
     sched.pool.bytes = pool_after.bytes - pool_before.bytes;
-    // Tape-memo stats are already exact per-run deltas (SettleCounters
+    // Tape-memo stats are the run's own settlement counts (summed
     // above); surfaced here so the scheduler report is self-contained.
     sched.memo_hits = result.settle.memo_hits;
     sched.memo_misses = result.settle.memo_misses;

@@ -96,18 +96,15 @@ struct RunResult {
   /// Event trace (null unless RunConfig::trace != kOff).  Hand it to
   /// the exporters in parix/metrics.h.
   std::shared_ptr<const Trace> trace;
-  /// Settlement-counter delta over this run (charge_tape.h).  The
-  /// underlying counters are process-wide, so concurrent runs in one
-  /// process see each other's activity; single-run processes (tests,
-  /// the forked bench cells) read them as exact per-run numbers.
+  /// Settlement counters summed over this run's processors
+  /// (charge_tape.h): how the dependent chain adds were retired.
   SettleCounters settle;
-  /// Fusion-counter delta over this run, same caveat.  All zero under
+  /// Fusion counters summed over this run's processors.  All zero under
   /// FuseMode::kOff (the off path never consults the fused variants).
   FusionCounters fusion;
-  /// Collective counters summed over all processors (parix/coll.h):
-  /// which algorithm every collective call resolved to, plus bytes,
-  /// hop distances and rounds per op.  Per-proc, not process-wide, so
-  /// these are exact even with concurrent runs in one process.
+  /// Collective counters summed over this run's processors
+  /// (parix/coll.h): which algorithm every collective call resolved
+  /// to, plus bytes, hop distances and rounds per op.
   CollectiveCounters coll;
   /// Host scheduler report (parix/prof.h).  mode == kOff when the run
   /// was unprofiled (then everything else in it is zero); carriers ==

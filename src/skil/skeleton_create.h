@@ -85,7 +85,7 @@ DistArray<T> array_create_const(parix::Proc& proc, int dim, Size size,
                                 parix::Distr distr = parix::Distr::kDefault) {
   if (!proc.fusing()) {
     if (proc.fuse_mode() == parix::FuseMode::kOn)
-      parix::note_fusion_rejected(parix::FusionReject::kPath);
+      proc.fusion().note_rejected(parix::FusionReject::kPath);
     return array_create<T>(proc, dim, size,
                            [value](Index) { return value; }, distr);
   }
@@ -99,7 +99,7 @@ DistArray<T> array_create_const(parix::Proc& proc, int dim, Size size,
     std::fill(local.begin(), local.end(), value);
     proc.charge(op_kind<T>(), static_cast<std::uint64_t>(local.size()));
   }
-  parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/1);
+  proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
   return a;
 }
 

@@ -192,7 +192,7 @@ void force(MapMapExpr<F, G> expr, const DistArray<T1>& from,
   parix::Proc& proc = from.proc();
   if (!proc.fusing()) {
     if (proc.fuse_mode() == parix::FuseMode::kOn)
-      parix::note_fusion_rejected(parix::FusionReject::kPath);
+      proc.fusion().note_rejected(parix::FusionReject::kPath);
     detail::run_unfused_maps(expr, from, to);
     return;
   }
@@ -215,7 +215,7 @@ void force(MapMapExpr<F, G> expr, const DistArray<T1>& from,
   // per element -- the whole point of fusing (the eliminated stages'
   // tails are the vtime reduction).
   skil::detail::array_map_charge_tail<T2>(proc, elems);
-  parix::note_fusion_fused(/*barriers=*/0,
+  proc.fusion().note_fused(/*barriers=*/0,
                            /*tapes=*/MapStages<MapMapExpr<F, G>>::value - 1);
 }
 
@@ -231,7 +231,7 @@ auto force(MapFoldExpr<F, Conv, Fold> expr, const DistArray<T1>& from,
   parix::Proc& proc = from.proc();
   if (!proc.fusing()) {
     if (proc.fuse_mode() == parix::FuseMode::kOn)
-      parix::note_fusion_rejected(parix::FusionReject::kPath);
+      proc.fusion().note_rejected(parix::FusionReject::kPath);
     detail::run_unfused_maps(expr.f, from, scratch);
     return array_fold(expr.conv, expr.fold, scratch);
   }
@@ -240,7 +240,7 @@ auto force(MapFoldExpr<F, Conv, Fold> expr, const DistArray<T1>& from,
         expr.conv, detail::apply_stage(expr.f, elem, ix), ix);
   };
   auto result = array_fold(fused_conv, expr.fold, from);
-  parix::note_fusion_fused(/*barriers=*/0, /*tapes=*/MapStages<F>::value);
+  proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/MapStages<F>::value);
   return result;
 }
 
@@ -261,9 +261,9 @@ T2 force(ScanFoldExpr<Conv, Scan> expr, const DistArray<T1>& from,
   if (!proc.fusing() || !order_exact) {
     if (proc.fuse_mode() == parix::FuseMode::kOn) {
       if (proc.fusing())
-        parix::note_fusion_rejected(parix::FusionReject::kOrder);
+        proc.fusion().note_rejected(parix::FusionReject::kOrder);
       else
-        parix::note_fusion_rejected(parix::FusionReject::kPath);
+        proc.fusion().note_rejected(parix::FusionReject::kPath);
     }
     array_scan(expr.conv, expr.scan, from, to);
     return array_fold(expr.conv, expr.scan, from);
@@ -331,7 +331,7 @@ T2 force(ScanFoldExpr<Conv, Scan> expr, const DistArray<T1>& from,
     }
   }
   SKIL_REQUIRE(grand.has_value(), "fuse::force: array has no elements");
-  parix::note_fusion_fused(/*barriers=*/1, /*tapes=*/1);
+  proc.fusion().note_fused(/*barriers=*/1, /*tapes=*/1);
   return *grand;
 }
 

@@ -247,11 +247,11 @@ void array_gen_mult(DistArray<T>& a, DistArray<T>& b, Add gen_add,
     // caller's arrays were never modified).  Under fusion the
     // restoring rotation is elided -- one communication round fewer,
     // with no observable difference in any array.
-    parix::note_fusion_fused(/*barriers=*/1, /*tapes=*/0);
+    proc.fusion().note_fused(/*barriers=*/1, /*tapes=*/0);
     return;
   }
   if (proc.fuse_mode() == parix::FuseMode::kOn)
-    parix::note_fusion_rejected(parix::FusionReject::kPath);
+    proc.fusion().note_rejected(parix::FusionReject::kPath);
 
   // Unskew (restores the caller's a and b placements).
   a_done = detail::torus_rotate_by(proc, topo, std::move(a_done), 0, my_row);
@@ -294,9 +294,9 @@ bool array_gen_mult_squared(DistArray<T>& a, Add gen_add, Mult gen_mult,
   if (!proc.fusing() || !std::is_integral_v<T>) {
     if (fuse_on) {
       if (proc.fusing())
-        parix::note_fusion_rejected(parix::FusionReject::kOrder);
+        proc.fusion().note_rejected(parix::FusionReject::kOrder);
       else
-        parix::note_fusion_rejected(parix::FusionReject::kPath);
+        proc.fusion().note_rejected(parix::FusionReject::kPath);
     }
     array_copy(a, scratch);
     array_gen_mult(a, scratch, gen_add, gen_mult, c);
@@ -319,7 +319,7 @@ bool array_gen_mult_squared(DistArray<T>& a, Add gen_add, Mult gen_mult,
 
   detail::gen_mult_rounds(proc, topo, block, std::move(a_block),
                           std::move(b_block), c.local(), gen_add, gen_mult);
-  parix::note_fusion_fused(/*barriers=*/1, /*tapes=*/2);
+  proc.fusion().note_fused(/*barriers=*/1, /*tapes=*/2);
   return true;
 }
 

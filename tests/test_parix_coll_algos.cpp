@@ -207,6 +207,28 @@ TEST(CollOrderContract, ChainOnlyForcesTreeAndCountsFallbacks) {
   }
 }
 
+TEST(CollOrderContract, ElementwiseAllreduceRejectsUnequalLengths) {
+  // Contributions of different lengths are a caller error under every
+  // family: each checks the size of what it receives rather than
+  // writing past the shorter vector.
+  for (CollMode mode : {CollMode::kTree, CollMode::kRing, CollMode::kRd}) {
+    RunConfig config{2, CostModel::t800()};
+    config.coll = mode;
+    EXPECT_THROW(spmd_run(config,
+                          [](Proc& proc) {
+                            const Topology topo(proc.machine(),
+                                                Distr::kDefault);
+                            allreduce_elems(
+                                proc, topo,
+                                std::vector<int>(proc.id() == 0 ? 4 : 6, 1),
+                                [](int a, int b) { return a + b; },
+                                CollOrder::kExact);
+                          }),
+                 skil::support::Error)
+        << coll_mode_name(mode);
+  }
+}
+
 // --- counters --------------------------------------------------------
 
 TEST(CollCounters, AttributeCallsBytesHopsAndStepsPerAlgorithm) {

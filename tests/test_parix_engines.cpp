@@ -143,6 +143,30 @@ TEST(PooledEngine, NestedSpmdRunFallsBackToThreads) {
   EXPECT_GT(r.vtime_us, 0.0);
 }
 
+TEST(PooledEngine, NestedRunCountsOnlyItsOwnSettleAndFusion) {
+  // Settle and fusion counts live on each Proc and are summed per run,
+  // so an outer run reports none of a nested run's counts, and the
+  // nested run reports exactly what the same run reports alone.  Both
+  // Gauss runs take the threads engine (the nested one falls back to
+  // it), so each starts from fresh per-thread settle memos.
+  const FuseMode saved = default_fuse_mode();
+  set_default_fuse_mode(FuseMode::kOn);
+  const auto gauss = [] { return apps::gauss_skil(4, 64, 7, false).run; };
+  const RunResult solo = with_engine(ExecutionEngine::kThreads, gauss);
+  RunResult inner;
+  RunConfig outer{2, CostModel::t800(), ExecutionEngine::kPooled};
+  const RunResult r = spmd_run(outer, [&](Proc& proc) {
+    if (proc.id() == 0) inner = gauss();
+  });
+  set_default_fuse_mode(saved);
+  EXPECT_EQ(r.settle, SettleCounters{});
+  EXPECT_EQ(r.fusion, FusionCounters{});
+  EXPECT_GT(solo.settle.closed_runs, 0u);
+  EXPECT_GT(solo.fusion.fused, 0u);
+  EXPECT_EQ(inner.settle, solo.settle);
+  EXPECT_EQ(inner.fusion, solo.fusion);
+}
+
 TEST(PooledEngine, RepeatedRunsReuseThePool) {
   // Many small runs exercise fiber recycling; vtimes stay identical.
   RunConfig config{8, CostModel::t800(), ExecutionEngine::kPooled};

@@ -322,7 +322,7 @@ TEST(SettleFuzz, TapeOnPooledBitIdenticalToInterpAtOneAndFourCarriers) {
   // across processors and map calls, so one run exercises probe (memo
   // miss), memo hit, plain-chain and mixed interleavings of all three.
   // Both taped runs must agree with interp to the last bit.
-  const parix::SettleCounters before = parix::settle_counters();
+  parix::SettleCounters settled;
   std::uint64_t tapped = 0;
   std::uint64_t mapped = 0;
   std::uint64_t in_place = 0;
@@ -369,6 +369,9 @@ TEST(SettleFuzz, TapeOnPooledBitIdenticalToInterpAtOneAndFourCarriers) {
     EXPECT_EQ(interp.dpfl, tape_one.dpfl);
     EXPECT_EQ(interp.dpfl, tape_four.dpfl);
     EXPECT_EQ(tape_one.tapped, tape_four.tapped);
+    settled += interp.run.settle;
+    settled += tape_one.run.settle;
+    settled += tape_four.run.settle;
     tapped += tape_one.tapped;
     mapped += tape_one.mapped;
     in_place += tape_one.in_place + tape_four.in_place;
@@ -386,12 +389,10 @@ TEST(SettleFuzz, TapeOnPooledBitIdenticalToInterpAtOneAndFourCarriers) {
   // declined every record: the counters must show closed-form walks,
   // cross-replay memo traffic (the same tape settles once per
   // processor and map call), and chain-bound records all really ran.
-  const parix::SettleCounters after = parix::settle_counters();
-  EXPECT_GT(after.closed_runs, before.closed_runs);
-  EXPECT_GT(after.memo_hits, before.memo_hits);
-  EXPECT_GT(after.closed_adds + after.memo_adds,
-            before.closed_adds + before.memo_adds);
-  EXPECT_GT(after.chain_records, before.chain_records);
+  EXPECT_GT(settled.closed_runs, 0u);
+  EXPECT_GT(settled.memo_hits, 0u);
+  EXPECT_GT(settled.closed_adds + settled.memo_adds, 0u);
+  EXPECT_GT(settled.chain_records, 0u);
 }
 
 }  // namespace
