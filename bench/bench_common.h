@@ -24,18 +24,13 @@
 
 namespace skil::bench {
 
-/// The bench's name for its messages: argv[0] without its directory.
-inline std::string program_name(const std::string& argv0) {
-  return argv0.empty() ? "bench" : argv0.substr(argv0.rfind('/') + 1);
-}
-
 /// Parses a bench command line, keeping every failure inside the
 /// program: `--help` prints the accepted flags and exits 0, an unknown
 /// flag is named and exits 2, and a missing or unwritable `--out-dir`
 /// exits 2 before any work starts.
 inline support::Cli parse_cli(int argc, char** argv,
                               std::vector<std::string> allowed) {
-  const std::string program = program_name(argc > 0 ? argv[0] : "");
+  const std::string program = support::program_name(argc > 0 ? argv[0] : "");
   const auto usage = [&](std::FILE* to) {
     std::fprintf(to, "usage: %s [--flag[=value] ...]\naccepted flags:",
                  program.c_str());
@@ -69,23 +64,6 @@ inline support::Cli parse_cli(int argc, char** argv,
   return cli;
 }
 
-/// A positive integer flag (--reps, --jobs, ...): a malformed or
-/// non-positive value is named and exits 2 before any work starts.
-inline int count_flag(const support::Cli& cli, const std::string& name,
-                      int fallback) {
-  if (!cli.has(name)) return fallback;
-  const std::string value = cli.get(name, "");
-  char* end = nullptr;
-  const long n = std::strtol(value.c_str(), &end, 10);
-  if (*end != '\0' || n < 1 || n > 1'000'000) {
-    std::fprintf(stderr, "%s: --%s expects a positive integer, got '%s'\n",
-                 program_name(cli.program()).c_str(), name.c_str(),
-                 value.c_str());
-    std::exit(2);
-  }
-  return static_cast<int>(n);
-}
-
 /// Applies a runtime knob given on the command line (SKIL_COLL,
 /// SKIL_CARRIERS, ...): a value its strict parser rejects exits 2 with
 /// the parser's message, which lists the accepted values, instead of
@@ -95,10 +73,16 @@ decltype(auto) apply_knob(const support::Cli& cli, Fn&& apply) {
   try {
     return apply();
   } catch (const support::ContractError& err) {
-    std::fprintf(stderr, "%s: %s\n", program_name(cli.program()).c_str(),
-                 err.what());
-    std::exit(2);
+    std::exit(support::report_cli_error(cli.program(), err));
   }
+}
+
+/// A count or size flag (--reps, --jobs, --n, ...), read by
+/// support::Cli::count: a value that is not an integer in [1, 1000000]
+/// exits 2 with its message before any work starts.
+inline int count_flag(const support::Cli& cli, const std::string& name,
+                      int fallback) {
+  return apply_knob(cli, [&] { return cli.count(name, fallback); });
 }
 
 /// Output path for a bench artefact.  An explicit `--<flag>=path`

@@ -315,8 +315,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; identical && i < runs[0].cells.size(); ++i) {
       const GaussCell& lhs = runs[0].cells[i];
       const GaussCell& rhs = runs[1].cells[i];
-      identical = lhs.skil_s == rhs.skil_s && lhs.dpfl_s == rhs.dpfl_s &&
-                  lhs.c_s == rhs.c_s;
+      identical = std::equal(lhs.vtime_us, lhs.vtime_us + 3, rhs.vtime_us);
     }
   }
 
@@ -401,7 +400,7 @@ int main(int argc, char** argv) {
                      "\"skil_vtime_s\": %.17g, \"dpfl_vtime_s\": %.17g, "
                      "\"c_vtime_s\": %.17g}",
                      i == 0 ? "" : ", ", cell.p, cell.n, cell.wall_s,
-                     cell.skil_s, cell.dpfl_s, cell.c_s);
+                     cell.skil_s(), cell.dpfl_s(), cell.c_s());
       }
       const SweepSettleTotals totals = sum_settle_totals(run.cells);
       std::fprintf(out, "], \"settle_counters\": {");

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
                (ref > 0 ? support::fmt_fixed(ref, 2) : std::string("-")) +
                "]";
       };
-      abs_row.push_back(bracket(cell->skil_s, paper ? paper->skil_s : -1));
+      abs_row.push_back(bracket(cell->skil_s(), paper ? paper->skil_s : -1));
       dpfl_row.push_back(
           bracket(cell->dpfl_over_skil(), paper ? paper->dpfl_over_skil : -1));
       c_row.push_back(
@@ -71,9 +71,9 @@ int main(int argc, char** argv) {
       if (cell->skil_over_c() < 0.8 || cell->skil_over_c() > 3.5)
         c_band = false;
       csv.add_row({std::to_string(p), std::to_string(n),
-                   support::fmt_fixed(cell->skil_s, 4),
-                   support::fmt_fixed(cell->dpfl_s, 4),
-                   support::fmt_fixed(cell->c_s, 4),
+                   support::fmt_fixed(cell->skil_s(), 4),
+                   support::fmt_fixed(cell->dpfl_s(), 4),
+                   support::fmt_fixed(cell->c_s(), 4),
                    support::fmt_fixed(cell->dpfl_over_skil(), 4),
                    support::fmt_fixed(cell->skil_over_c(), 4),
                    paper ? support::fmt_ratio(paper->skil_s) : "-",

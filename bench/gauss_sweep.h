@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -24,9 +25,10 @@ namespace skil::bench {
 struct GaussCell {
   int p = 0;
   int n = 0;
-  double skil_s = 0.0;
-  double dpfl_s = 0.0;
-  double c_s = 0.0;
+  /// Final vtime (us) and messages sent of the Skil, DPFL and C runs,
+  /// in that order.
+  double vtime_us[3] = {};
+  std::uint64_t messages[3] = {};
   /// Host wall seconds this cell took (all three variants).
   double wall_s = 0.0;
   /// Settlement counters of this cell's three runs (charge_tape.h).
@@ -40,8 +42,12 @@ struct GaussCell {
   /// Collective-algorithm counters over this cell's three runs
   /// (coll.h): which algorithm family every collective resolved to.
   parix::CollectiveCounters coll;
-  double dpfl_over_skil() const { return dpfl_s / skil_s; }
-  double skil_over_c() const { return skil_s / c_s; }
+  /// Vtimes in seconds (RunResult::vtime_seconds's arithmetic).
+  double skil_s() const { return vtime_us[0] * 1e-6; }
+  double dpfl_s() const { return vtime_us[1] * 1e-6; }
+  double c_s() const { return vtime_us[2] * 1e-6; }
+  double dpfl_over_skil() const { return dpfl_s() / skil_s(); }
+  double skil_over_c() const { return skil_s() / c_s(); }
 };
 
 /// Sums the settlement-relevant counters of a finished grid, for
@@ -115,16 +121,18 @@ inline GaussCell run_gauss_cell(int p, int n, std::uint64_t seed) {
   cell.p = p;
   cell.n = n;
   const auto start = std::chrono::steady_clock::now();
-  const auto account = [&cell](const parix::RunResult& run, double* out_s) {
-    *out_s = run.vtime_seconds();
+  int variant = 0;
+  const auto account = [&](const parix::RunResult& run) {
+    cell.vtime_us[variant] = run.vtime_us;
+    cell.messages[variant++] = run.total.messages_sent;
     cell.settle += run.settle;
     cell.fusion += run.fusion;
     cell.sched.add(run.scheduler);
     cell.coll += run.coll;
   };
-  account(apps::gauss_skil(p, n, seed, /*pivoting=*/false).run, &cell.skil_s);
-  account(apps::gauss_dpfl(p, n, seed).run, &cell.dpfl_s);
-  account(apps::gauss_c(p, n, seed).run, &cell.c_s);
+  account(apps::gauss_skil(p, n, seed, /*pivoting=*/false).run);
+  account(apps::gauss_dpfl(p, n, seed).run);
+  account(apps::gauss_c(p, n, seed).run);
   cell.wall_s = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
                     .count();
@@ -171,11 +179,12 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
       cells.push_back(cell);
     }
 
-  // Wire format cell -> parent: the four timing doubles followed by
-  // the settlement/fusion/scheduler/collective counters, fixed-width so
-  // a single read drains the pipe atomically (well under PIPE_BUF's
-  // 4096).  pack and unpack walk the same counter lists.
+  // Wire format cell -> parent: the timing doubles followed by the
+  // message, settlement/fusion/scheduler/collective counters,
+  // fixed-width so a single read drains the pipe atomically (well under
+  // PIPE_BUF's 4096).  pack and unpack walk the same counter lists.
   const auto for_each_counter = [](GaussCell& c, auto&& visit) {
+    for (std::uint64_t& m : c.messages) visit(m);
     for (const auto& f : parix::SettleCounters::kFields)
       visit(c.settle.*f.member);
     for (const auto& f : parix::FusionCounters::kFields)
@@ -190,7 +199,7 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
   };
   struct CellWire {
     double d[4];
-    std::uint64_t u[std::size(parix::SettleCounters::kFields) +
+    std::uint64_t u[3 + std::size(parix::SettleCounters::kFields) +
                     std::size(parix::FusionCounters::kFields) +
                     parix::SchedulerTotals::kCount +
                     // coll: calls per (op, algo); bytes, hops and steps
@@ -200,9 +209,7 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
   static_assert(sizeof(CellWire) < 1024, "CellWire must stay one pipe write");
   auto pack = [&for_each_counter](GaussCell cell) {
     CellWire w;
-    w.d[0] = cell.skil_s;
-    w.d[1] = cell.dpfl_s;
-    w.d[2] = cell.c_s;
+    std::copy(cell.vtime_us, cell.vtime_us + 3, w.d);
     w.d[3] = cell.wall_s;
     std::size_t slot = 0;
     for_each_counter(cell, [&](std::uint64_t& v) { w.u[slot++] = v; });
@@ -210,9 +217,7 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
     return w;
   };
   auto unpack = [&for_each_counter](const CellWire& w, GaussCell& cell) {
-    cell.skil_s = w.d[0];
-    cell.dpfl_s = w.d[1];
-    cell.c_s = w.d[2];
+    std::copy(w.d, w.d + 3, cell.vtime_us);
     cell.wall_s = w.d[3];
     std::size_t slot = 0;
     for_each_counter(cell, [&](std::uint64_t& v) { v = w.u[slot++]; });

@@ -10,13 +10,14 @@
 
 #include "apps/gauss.h"
 #include "support/cli.h"
+#include "support/error.h"
 #include "support/matrix.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace skil;
   const support::Cli cli(argc, argv, {"procs", "n", "seed"});
-  const int procs = cli.get_int("procs", 4);
-  const int n = cli.get_int("n", 24);
+  const int procs = cli.count("procs", 4);
+  const int n = cli.count("n", 24);
   const std::uint64_t seed = cli.get_int("seed", 3);
 
   std::printf("solving a %dx%d system (rows scrambled to force "
@@ -58,4 +59,6 @@ int main(int argc, char** argv) {
               no_pivot.run.vtime_us / 1e3,
               with_pivot.run.vtime_us / no_pivot.run.vtime_us);
   return 0;
+} catch (const skil::support::ContractError& err) {
+  return skil::support::report_cli_error(argv[0], err);
 }

@@ -20,13 +20,14 @@
 #include "parix/runtime.h"
 #include "skil/skil.h"
 #include "support/cli.h"
+#include "support/error.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace skil;
   const support::Cli cli(argc, argv, {"procs", "cells", "steps"});
-  const int procs = cli.get_int("procs", 8);
-  const int cells = cli.get_int("cells", 64);
-  const int steps = cli.get_int("steps", 60);
+  const int procs = cli.count("procs", 8);
+  const int cells = cli.count("cells", 64);
+  const int steps = cli.count("steps", 60);
 
   parix::RunConfig config{procs, parix::CostModel::t800()};
   const auto run = parix::spmd_run(config, [&](parix::Proc& proc) {
@@ -85,4 +86,6 @@ int main(int argc, char** argv) {
               run.vtime_us / 1e3,
               static_cast<unsigned long long>(run.total.messages_sent));
   return 0;
+} catch (const skil::support::ContractError& err) {
+  return skil::support::report_cli_error(argv[0], err);
 }

@@ -23,6 +23,7 @@
 
 #include "skil/functional.h"
 #include "support/cli.h"
+#include "support/error.h"
 #include "support/rng.h"
 
 namespace {
@@ -46,10 +47,10 @@ auto d_and_c(IsTrivial is_trivial, Solve solve, Split split, Join join,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace skil;
   const support::Cli cli(argc, argv, {"elems", "seed"});
-  const int elems = cli.get_int("elems", 24);
+  const int elems = cli.count("elems", 24);
   support::Rng rng(cli.get_int("seed", 5));
 
   List input;
@@ -115,4 +116,6 @@ int main(int argc, char** argv) {
   std::printf("curried clamp(0)(50) over the maximum %d -> %d\n",
               sorted.back(), clamp_0_50(sorted.back()));
   return 0;
+} catch (const skil::support::ContractError& err) {
+  return skil::support::report_cli_error(argv[0], err);
 }

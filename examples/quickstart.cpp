@@ -17,6 +17,7 @@
 #include "parix/runtime.h"
 #include "skil/skil.h"
 #include "support/cli.h"
+#include "support/error.h"
 
 namespace {
 
@@ -30,10 +31,10 @@ int above_thresh(float thresh, float elem, Index /*ix*/) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const support::Cli cli(argc, argv, {"procs", "elems"});
-  const int procs = cli.get_int("procs", 8);
-  const int elems = cli.get_int("elems", 32);
+  const int procs = cli.count("procs", 8);
+  const int elems = cli.count("elems", 32);
 
   parix::RunConfig config{procs, parix::CostModel::t800()};
   const parix::RunResult run = parix::spmd_run(config, [&](parix::Proc& proc) {
@@ -71,4 +72,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(run.total.messages_sent),
               static_cast<unsigned long long>(run.total.bytes_sent));
   return 0;
+} catch (const skil::support::ContractError& err) {
+  return skil::support::report_cli_error(argv[0], err);
 }

@@ -7,13 +7,14 @@
 
 #include "apps/shortest_paths.h"
 #include "support/cli.h"
+#include "support/error.h"
 #include "support/matrix.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace skil;
   const support::Cli cli(argc, argv, {"procs", "nodes", "seed"});
-  const int procs = cli.get_int("procs", 4);
-  const int nodes = cli.get_int("nodes", 12);
+  const int procs = cli.count("procs", 4);
+  const int nodes = cli.count("nodes", 12);
   const std::uint64_t seed = cli.get_int("seed", 7);
 
   const auto skil_run = apps::shpaths_skil(procs, nodes, seed);
@@ -51,4 +52,6 @@ int main(int argc, char** argv) {
               opt_c.run.vtime_us / 1e3,
               opt_c.run.vtime_us / skil_run.run.vtime_us);
   return 0;
+} catch (const skil::support::ContractError& err) {
+  return skil::support::report_cli_error(argv[0], err);
 }

@@ -1,6 +1,5 @@
 #include "apps/gauss.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -39,31 +38,22 @@ int gauss_round_up(int n, int nprocs) {
 
 namespace {
 
-// Row kernels of the three Gauss phases, each written once for all four
-// non-interpretive paths (Skil and DPFL, fused and taped).  A kernel has
-// the row-run contract of array_map_taped: it maps one row run,
-// src[0..count) -> dst[0..count) starting at global column c0, and
-// returns its active count.  The taped paths run it from one array into
-// another; the fused paths run it in place (map_in_place), where the
-// inactive prefix needs no copy, so the twins differ only in region and
-// charges.  Gauss's row blocks span whole rows, so every run holds its
+// Row kernels of the three Gauss phases, each written once for Skil and
+// DPFL.  The tape path runs every kernel in place, fused or not; fusion
+// picks only the charges (DESIGN.md section 13).  So a kernel has
+// array_map_taped's row-run signature but is called with src == dst: it
+// rewrites the active elements of one row run x[0..count), starting at
+// global column c0, leaves the rest as they are and returns the active
+// count.  Gauss's row blocks span whole rows, so every run holds its
 // row's column-k factor and diagonal.
-
-/// Copies a run's inactive elements (a no-op for an in-place map).
-void keep(const double* src, double* dst, int count) {
-  if (src != dst) std::copy(src, src + count, dst);
-}
 
 /// copy_pivot: pivot row `krow` (nullptr off its owner) over its
 /// diagonal.
 auto pivot_kernel(const double* krow, int k) {
-  return [krow, k](int, int c0, const double* src, double* dst,
+  return [krow, k](int, int c0, const double*, double* x,
                    int count) -> std::uint64_t {
-    if (krow == nullptr) {
-      keep(src, dst, count);
-      return 0;
-    }
-    for (int j = 0; j < count; ++j) dst[j] = krow[c0 + j] / krow[k];
+    if (krow == nullptr) return 0;
+    for (int j = 0; j < count; ++j) x[j] = krow[c0 + j] / krow[k];
     return static_cast<std::uint64_t>(count);
   };
 }
@@ -71,29 +61,26 @@ auto pivot_kernel(const double* krow, int k) {
 /// eliminate: rows other than k lose f times the pivot row `prow` over
 /// the columns >= k, f being the row's column-k entry.
 auto eliminate_kernel(const double* prow, int k) {
-  return [prow, k](int row, int c0, const double* src, double* dst,
+  return [prow, k](int row, int c0, const double*, double* x,
                    int count) -> std::uint64_t {
-    const int lo = row == k ? count : k - c0;
-    keep(src, dst, lo);
-    if (lo == count) return 0;
-    const double f = src[lo];
-    for (int j = lo; j < count; ++j) dst[j] = src[j] - f * prow[c0 + j];
+    if (row == k) return 0;
+    const int lo = k - c0;
+    const double f = x[lo];
+    for (int j = lo; j < count; ++j) x[j] -= f * prow[c0 + j];
     return static_cast<std::uint64_t>(count - lo);
   };
 }
 
 /// normalize: the right-hand side (a row's last column) over the
 /// diagonal.
-constexpr auto normalize_kernel = [](int row, int c0, const double* src,
-                                     double* dst, int count) -> std::uint64_t {
-  const int rhs = count - 1;
-  keep(src, dst, rhs);
-  dst[rhs] = src[rhs] / src[row - c0];
+constexpr auto normalize_kernel = [](int row, int c0, const double*,
+                                     double* x, int count) -> std::uint64_t {
+  x[count - 1] /= x[row - c0];
   return 1;
 };
 
-/// Runs a row kernel in place over a partition (the fused paths);
-/// returns the active count.
+/// Runs a row kernel in place over a partition; returns the active
+/// count.
 template <class Kernel>
 std::uint64_t map_in_place(const Kernel& kernel,
                            const std::vector<RowRun>& runs, double* data) {
@@ -103,6 +90,50 @@ std::uint64_t map_in_place(const Kernel& kernel,
     data += run.col_count;
   }
   return active;
+}
+
+/// One taped Skil phase, in place on `arr`.  Unfused it books the
+/// program's array_map (its span, the tape per active element, the
+/// tail over the whole partition); fused, the region pass's tape and
+/// tail per active element, and nothing for an idle `owner_only` pass.
+template <class Kernel>
+void skil_phase(bool fused, const Kernel& kernel,
+                const parix::ChargeTape& tape, DistArray<double>& arr,
+                bool owner_only = false) {
+  if (!fused) return array_map_taped(kernel, tape, arr, arr);
+  const std::uint64_t active =
+      map_in_place(kernel, arr.my_runs(), arr.local().data());
+  if (owner_only && active == 0) return;
+  arr.proc().replay(tape, active);
+  parix::DeferredCharges deferred(arr.proc());
+  detail::array_map_charge_tail<double>(deferred, active);
+}
+
+/// One taped DPFL phase on `arr`, handed over as its last handle: the
+/// closure record, then the kernel in place.  Unfused it books the
+/// program's fa_map (fa_map_taped, in place on the last handle); fused,
+/// the tape, apply and element op per active element, and nothing for
+/// an idle `owner_only` pass.
+template <class Kernel>
+dpfl::FArray<double> dpfl_phase(bool fusing, const Kernel& kernel,
+                                const parix::ChargeTape& tape,
+                                dpfl::FArray<double> arr,
+                                bool owner_only = false) {
+  parix::Proc& proc = arr.proc();
+  std::vector<double>* mine = arr.mutable_local_if_unique();
+  SKIL_ASSERT(mine != nullptr,
+              "gauss_dpfl: a phase needs the last handle to its array");
+  proc.charge(parix::Op::kAlloc);
+  if (!fusing) return dpfl::fa_map_taped<double>(kernel, tape, std::move(arr));
+  const std::uint64_t active =
+      map_in_place(kernel, arr.my_runs(), mine->data());
+  if (!owner_only || active > 0) {
+    proc.replay(tape, active);
+    dpfl::charge_apply(proc, active);
+    proc.charge(dpfl::op_kind<double>(), active);
+  }
+  proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
+  return arr;
 }
 
 /// Row k of `arr`'s partition, or nullptr off its owner.
@@ -201,24 +232,29 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
   result.run = parix::spmd_run(config, [&](parix::Proc& proc) {
     auto init_f = [&](Index ix) { return entry(ix[0], ix[1]); };
     auto zero = [](Index) { return 0.0; };
+    const Size shape{size, size + 1};
+    const Size block{rows_per_proc, size + 1};
 
     // a, b: size x (size+1); piv: p x (size+1), one row per processor.
+    // The tape path maps in place on `a` and reads `b` only after a
+    // permuting step; elsewhere b's creation and copies are charged,
+    // not performed (DESIGN.md section 8).
     DistArray<double> a = array_create<double>(
-        proc, 2, Size{size, size + 1}, Size{rows_per_proc, size + 1},
-        Index{-1, -1}, init_f, parix::Distr::kDefault);
-    DistArray<double> b = array_create<double>(
-        proc, 2, Size{size, size + 1}, Size{rows_per_proc, size + 1},
-        Index{-1, -1}, zero, parix::Distr::kDefault);
+        proc, 2, shape, block, Index{-1, -1}, init_f, parix::Distr::kDefault);
+    DistArray<double> b;
+    if (taped && !pivoting)
+      detail::create_pass<double>(proc, a.local().size(), [] {});
+    else
+      b = array_create<double>(proc, 2, shape, block, Index{-1, -1}, zero,
+                               parix::Distr::kDefault);
     DistArray<double> piv = array_create<double>(
         proc, 2, Size{nprocs, size + 1}, Size{1, size + 1}, Index{-1, -1},
         zero, parix::Distr::kDefault);
 
     // Fusion (DESIGN.md section 13): the step's copy|pivot|eliminate
-    // composition collapses into one in-place region pass over `a`,
-    // eliding the full-matrix copy into `b`, the non-owner pivot-map
-    // traversals, and the inactive-region elimination tail.  Requires
-    // the tape charge path (the interpretive bodies charge element by
-    // element and cannot be re-associated).
+    // composition is charged as one region pass over `a`, eliding the
+    // copy into `b`, the non-owner pivot maps and the inactive
+    // elimination tail.  Requires the tape charge path.
     const bool fuse_on = proc.fuse_mode() == parix::FuseMode::kOn;
     const bool fusing = proc.fusing();
 
@@ -227,90 +263,60 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
       if (fuse_on && !fusing)
         proc.fusion().note_rejected(parix::FusionReject::kPath);
       bool step_fused = fusing;
+      bool copy = !fusing;  // the program's array_copy(a, b)
       if (pivoting) {
         const ElemRec e =
             array_fold(make_elemrec, partial(max_abs_in_col, k), a);
         if (std::fabs(e.val) == 0.0)
           throw support::AppError("Matrix is singular");
         if (e.row != k) {
-          // A permuting step re-shapes the data flow: the fused
-          // in-place elimination assumes source and target rows
-          // coincide, which the row swap breaks.  Reject (kShape)
-          // and run the step through the ordinary two-array path.
+          // The row swap moves rows between partitions: the step runs
+          // unfused (kShape), permuting into `b`, and the tape path then
+          // maps the permuted rows in place.
           if (fusing)
             proc.fusion().note_rejected(parix::FusionReject::kShape);
-          step_fused = false;
+          step_fused = copy = false;
           array_permute_rows(a, partial(switch_rows, e.row, k), b);
-        } else if (!step_fused) {
-          array_copy(a, b);
+          if (taped) std::swap(a, b);
         }
-      } else if (!step_fused) {
+      }
+      if (copy && taped)
+        detail::copy_pass<double>(proc, a.local().size(), [] {});
+      else if (copy)
         array_copy(a, b);
-      }
-      if (step_fused) {
-        // Fused pivot map: only the owner of row k computes anything
-        // (non-owner writes were dead -- the broadcast below
-        // overwrites every other partition of piv), and it reads the
-        // pivot row from `a` directly since the copy was elided.
-        const std::uint64_t active =
-            map_in_place(pivot_kernel(owned_row(a, k), k), piv.my_runs(),
-                         piv.local().data());
-        if (active > 0) {
-          proc.replay(pivot_tape, active);
-          parix::DeferredCharges deferred(proc);
-          detail::array_map_charge_tail<double>(deferred, active);
-        }
-      } else if (taped) {
-        // The reads the interp body performs through the charged
-        // get_elem macro become raw partition loads (the tape carries
-        // the charges); the owner test resolves once per step.
-        array_map_taped(pivot_kernel(owned_row(b, k), k), pivot_tape, piv,
-                        piv);
-      } else {
+      // copy_pivot reads the pivot row from `b`, the tape path from
+      // `a`, which holds the same values.  Fused, non-owners book
+      // nothing: the broadcast below overwrites their writes.
+      if (taped)
+        skil_phase(step_fused, pivot_kernel(owned_row(a, k), k), pivot_tape,
+                   piv, /*owner_only=*/true);
+      else
         array_map(partial(copy_pivot, std::cref(b), k), piv, piv);
-      }
       array_broadcast_part(piv, Index{k / rows_per_proc, 0});
-      if (step_fused) {
-        // Fused elimination: in place on `a` over the active region
-        // only (rows != k, columns >= k).  Bit-identity with the
-        // two-array path: the factor is the pre-update a[i][k] (the
-        // value the unfused kernel reads from the `b` copy), and
-        // prow[k] == krow[k]/krow[k] == 1.0 exactly, so the j == k
-        // update lands on the identical bits.
-        const std::uint64_t active =
-            map_in_place(eliminate_kernel(piv.local().data(), k),
-                         a.my_runs(), a.local().data());
-        proc.replay(elim_tape, active);
-        parix::DeferredCharges deferred(proc);
-        detail::array_map_charge_tail<double>(deferred, active);
-        proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
-      } else if (taped) {
-        array_map_taped(eliminate_kernel(piv.local().data(), k), elim_tape,
-                        b, a);
+      // Elimination.  In place, the factor is still the pre-update
+      // a[i][k], and prow[k] == krow[k]/krow[k] == 1.0 exactly, so the
+      // j == k update lands on the bits the map from `b` writes.
+      if (taped) {
+        skil_phase(step_fused, eliminate_kernel(piv.local().data(), k),
+                   elim_tape, a);
+        if (step_fused) proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
       } else {
         array_map(partial(eliminate, k, std::cref(b), std::cref(piv)), b, a);
       }
     }
     if (fuse_on && !fusing)
       proc.fusion().note_rejected(parix::FusionReject::kPath);
-    if (fusing) {
-      // Fused normalize|gather: divide the right-hand-side column in
-      // place (the diagonal read is never clobbered -- it sits left
-      // of the written column) and gather from `a`, eliding the full
-      // normalize pass into `b` and its inactive-element tail.
-      const std::uint64_t active =
-          map_in_place(normalize_kernel, a.my_runs(), a.local().data());
-      proc.replay(norm_tape, active);
-      parix::DeferredCharges deferred(proc);
-      detail::array_map_charge_tail<double>(deferred, active);
-      proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
-    } else if (taped) {
-      array_map_taped(normalize_kernel, norm_tape, a, b);
+    // normalize|gather: the program maps `a` into `b` and gathers `b`;
+    // the tape path divides in place (the diagonal sits left of the
+    // written column) and gathers `a`.
+    if (taped) {
+      skil_phase(fusing, normalize_kernel, norm_tape, a);
+      if (fusing) proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
     } else {
       array_map(partial(normalize, std::cref(a), size), a, b);
     }
 
-    const std::vector<double> solved = array_gather_root(fusing ? a : b);
+    const std::vector<double> solved = array_gather_root(taped ? a : b);
     if (proc.id() == 0) {
       result.x.resize(size);
       for (int i = 0; i < size; ++i)
@@ -387,12 +393,10 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
         proc, 2, Size{nprocs, size + 1}, zero, parix::Distr::kDefault,
         Size{1, size + 1});
 
-    // Fusion (DESIGN.md section 13): DPFL's persistent-update
-    // discipline makes every step allocate a fresh partition; under
-    // fusing the intermediate provably has no other observer
-    // (use_count == 1), so the update happens in place over the
-    // active region -- functional deforestation, with the eliminated
-    // stage's boxing and allocation charges gone from the chain.
+    // Fusion (DESIGN.md section 13): DPFL's persistent updates charge
+    // a fresh partition per map; fused, the intermediate provably has
+    // no other observer (use_count == 1), so the update is charged as
+    // in place over the active region -- functional deforestation.
     const bool fuse_on = proc.fuse_mode() == parix::FuseMode::kOn;
     const bool fusing = proc.fusing();
 
@@ -402,29 +406,9 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
         proc.fusion().note_rejected(parix::FusionReject::kPath);
       // copy_pivot: normalised pivot-row elements into this
       // processor's piv row when it owns the pivot row.
-      std::vector<double>* pmut =
-          fusing ? piv.mutable_local_if_unique() : nullptr;
-      if (pmut != nullptr) {
-        // Fused pivot map: owner-only, in place in the uniquely owned
-        // partition (non-owner writes were dead -- the broadcast
-        // overwrites them).  The closure record is still built.
-        proc.charge(parix::Op::kAlloc);
-        const std::uint64_t active = map_in_place(
-            pivot_kernel(owned_row(a, k), k), piv.my_runs(), pmut->data());
-        if (active > 0) {
-          proc.replay(pivot_tape, active);
-          dpfl::charge_apply(proc, active);
-          proc.charge(dpfl::op_kind<double>(), active);
-        }
-        proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
-      } else if (taped) {
-        // The closure record the interp path allocates when it
-        // constructs the copy_pivot Closure, charged at the same
-        // program point.  As in gauss_skil_impl, the kernel reads the
-        // partition raw -- the tape carries the boxed-access charges.
-        proc.charge(parix::Op::kAlloc);
-        piv = dpfl::fa_map_taped<double>(pivot_kernel(owned_row(a, k), k),
-                                         pivot_tape, std::move(piv));
+      if (taped) {
+        piv = dpfl_phase(fusing, pivot_kernel(owned_row(a, k), k),
+                         pivot_tape, std::move(piv), /*owner_only=*/true);
       } else {
         const Closure<double(double, Index)> copy_pivot(
             proc, [&a, k, &proc](double v, Index ix) {
@@ -439,32 +423,12 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
       }
       piv = dpfl::fa_broadcast_part(piv, Index{k / rows_per_proc, 0});
 
-      std::vector<double>* amut =
-          fusing ? a.mutable_local_if_unique() : nullptr;
-      if (amut != nullptr) {
-        // Fused elimination: the fresh partition the persistent
-        // update would build has no observer but `a` itself, so the
-        // update happens in place over the active region with the
-        // column-k factor hoisted per row (bit-identity as in
-        // gauss_skil_impl: prow[k] == 1.0 exactly).  The `source`
-        // alias is deliberately not created -- it would pin the old
-        // partition alive and force the copy.
-        proc.charge(parix::Op::kAlloc);  // eliminate closure record
-        const std::uint64_t active =
-            map_in_place(eliminate_kernel(piv.local().data(), k),
-                         a.my_runs(), amut->data());
-        proc.replay(elim_tape, active);
-        dpfl::charge_apply(proc, active);
-        proc.charge(dpfl::op_kind<double>(), active);
-        proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
-        continue;
-      }
-      if (fusing)  // shared storage: cannot deforest in place
-        proc.fusion().note_rejected(parix::FusionReject::kShape);
+      // Elimination (bit-identity as in gauss_skil_impl).  The interp
+      // body's `source` alias pins the old partition and forces a fresh
+      // one; the tape path creates no alias.
       if (taped) {
-        proc.charge(parix::Op::kAlloc);  // eliminate closure record
-        a = dpfl::fa_map_taped<double>(
-            eliminate_kernel(piv.local().data(), k), elim_tape, std::move(a));
+        a = dpfl_phase(fusing, eliminate_kernel(piv.local().data(), k),
+                       elim_tape, std::move(a));
       } else {
         const FArray<double> source = a;
         const FArray<double> pivot_rows = piv;
@@ -482,25 +446,9 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
 
     if (fuse_on && !fusing)
       proc.fusion().note_rejected(parix::FusionReject::kPath);
-    std::vector<double>* amut =
-        fusing ? a.mutable_local_if_unique() : nullptr;
-    if (amut != nullptr) {
-      // Fused normalize: right-hand-side column divided in place (the
-      // diagonal read sits left of the written column), active
-      // elements only.
-      proc.charge(parix::Op::kAlloc);  // normalize closure record
-      const std::uint64_t active =
-          map_in_place(normalize_kernel, a.my_runs(), amut->data());
-      proc.replay(norm_tape, active);
-      dpfl::charge_apply(proc, active);
-      proc.charge(dpfl::op_kind<double>(), active);
-      proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
-    } else if (taped) {
-      if (fusing)
-        proc.fusion().note_rejected(parix::FusionReject::kShape);
-      proc.charge(parix::Op::kAlloc);  // normalize closure record
-      a = dpfl::fa_map_taped<double>(normalize_kernel, norm_tape,
-                                     std::move(a));
+    // normalize: the right-hand-side column over the diagonal.
+    if (taped) {
+      a = dpfl_phase(fusing, normalize_kernel, norm_tape, std::move(a));
     } else {
       const FArray<double> final_a = a;
       const Closure<double(double, Index)> normalize(

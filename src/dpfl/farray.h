@@ -129,20 +129,6 @@ class FArray {
     return (*local_)[dist_->local_offset(my_vrank_, ix)];
   }
 
-  /// The raw read of get_elem with no charges: tape-specialized loops
-  /// read through this and account through a replayed tape that
-  /// append_get_elem_charges contributed to.
-  T get_elem_uncharged(const Index& ix) const {
-    if (block_ && bounds_.contains(ix, dims_)) [[likely]] {
-      const int col = dims_ >= 2 ? ix[1] : 0;
-      return data_[static_cast<std::size_t>(
-          static_cast<long>(ix[0] - row0_) * width_ + (col - col0_))];
-    }
-    SKIL_REQUIRE(dist_->owner_vrank(ix) == my_vrank_,
-                 "fa_get_elem: element is not local");
-    return (*local_)[dist_->local_offset(my_vrank_, ix)];
-  }
-
   /// Appends the exact charge sequence of one get_elem to `sink`
   /// (the single source of truth: the interpretive path charges
   /// through this with sink = Proc).

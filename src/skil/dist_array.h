@@ -27,6 +27,13 @@ constexpr parix::Op op_kind() {
                                      : parix::Op::kIntOp;
 }
 
+/// Cost-model words (kCopyWord) a wholesale partition copy of `elems`
+/// elements of T moves: its bytes in longs, rounded up.
+template <class T>
+constexpr std::uint64_t copy_words(std::size_t elems) {
+  return (elems * sizeof(T) + sizeof(long) - 1) / sizeof(long);
+}
+
 template <class T>
 class DistArray {
  public:
@@ -92,16 +99,6 @@ class DistArray {
     }
     check_local(ix);  // throws for non-local / invalid; cyclic falls through
     proc_->charge(op_kind<T>());
-    return local_[dist_->local_offset(my_vrank_, ix)];
-  }
-
-  /// The raw read of get_elem with no element-operation charge:
-  /// tape-specialized skeleton loops (array_map_taped) read through
-  /// this and account through a replayed charge tape instead.
-  T get_elem_uncharged(const Index& ix) const {
-    if (block_ && bounds_.contains(ix, dims_)) [[likely]]
-      return local_[local_offset_fast(ix)];
-    check_local(ix);
     return local_[dist_->local_offset(my_vrank_, ix)];
   }
 

@@ -65,9 +65,7 @@ void array_broadcast_part(DistArray<T>& a, Index ix) {
                 "array_broadcast_part: partition size mismatch");
     a.local() = std::move(part);
   }
-  const std::uint64_t words =
-      (a.local().size() * sizeof(T) + sizeof(long) - 1) / sizeof(long);
-  a.proc().charge(parix::Op::kCopyWord, words);
+  a.proc().charge(parix::Op::kCopyWord, copy_words<T>(a.local().size()));
 }
 
 /// Permutes the rows of the 2-D array `from` into `to` using the

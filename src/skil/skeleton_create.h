@@ -16,7 +16,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "parix/charge_tape.h"
@@ -28,22 +30,28 @@ namespace skil {
 
 namespace detail {
 
+/// array_create's pass over `elems` elements: `fill` (the host's
+/// stores) inside its span, then one first-order call plus one element
+/// store per element.  An empty `fill` books a creation the host
+/// elides (DESIGN.md section 8).
+template <class T, class Fill>
+void create_pass(parix::Proc& proc, std::size_t elems, Fill&& fill) {
+  const parix::TraceSpan span(proc, "array_create");
+  fill();
+  proc.charge(parix::Op::kCall, elems);
+  proc.charge(op_kind<T>(), elems);
+}
+
 /// Fills a freshly created array from its initialiser function.
-/// Cost model: one first-order call (the instantiated functional
-/// argument) plus one element store per element.
 template <class T, class InitFn>
 void fill_from_init(DistArray<T>& a, InitFn&& init_elem) {
-  const parix::TraceSpan span(a.proc(), "array_create");
   auto& local = a.local();
-  std::size_t offset = 0;
-  std::uint64_t elems = 0;
-  for (const RowRun& run : a.my_runs())
-    for (int c = 0; c < run.col_count; ++c) {
-      local[offset++] = init_elem(Index{run.row, run.col_begin + c});
-      ++elems;
-    }
-  a.proc().charge(parix::Op::kCall, elems);
-  a.proc().charge(op_kind<T>(), elems);
+  create_pass<T>(a.proc(), local.size(), [&] {
+    std::size_t offset = 0;
+    for (const RowRun& run : a.my_runs())
+      for (int c = 0; c < run.col_count; ++c)
+        local[offset++] = init_elem(Index{run.row, run.col_begin + c});
+  });
 }
 
 }  // namespace detail
@@ -71,32 +79,32 @@ DistArray<T> array_create(parix::Proc& proc, int dim, Size size,
 }
 
 /// Constant-initialised creator, fusible with its consumer (DESIGN.md
-/// section 13).  Unfused this is exactly array_create with a constant
-/// functional argument: a fill pass charging one call and one element
-/// store per element.  Under Proc::fusing() the per-element closure
-/// calls are elided (a constant needs no call), and when the constant
-/// is the value-initialised T{} the stores vanish too -- the freshly
-/// allocated partition already holds those bits.  The consumer (e.g.
-/// array_gen_mult folding c's initial elements) observes an identical
-/// array either way.
+/// section 13).  One host body: allocate, then store the constant
+/// unless the fresh partition already holds its bits.  Proc::fusing()
+/// picks only the charges: unfused, array_create's with a constant
+/// functional argument; fused, no closure calls (a constant needs
+/// none) and no charge for the stores the host skips.
 template <class T>
 DistArray<T> array_create_const(parix::Proc& proc, int dim, Size size,
                                 T value,
                                 parix::Distr distr = parix::Distr::kDefault) {
-  if (!proc.fusing()) {
-    if (proc.fuse_mode() == parix::FuseMode::kOn)
-      proc.fusion().note_rejected(parix::FusionReject::kPath);
-    return array_create<T>(proc, dim, size,
-                           [value](Index) { return value; }, distr);
-  }
   auto topo = std::make_shared<const parix::Topology>(proc.machine(), distr);
   auto dist = std::make_shared<const Distribution>(Distribution::block(
       std::move(topo), dim, size, Size{0, 0}, Index{-1, -1}));
   DistArray<T> a(proc, std::move(dist));
-  if (!(value == T{})) {
+  auto& local = a.local();
+  // The fresh partition holds T{}'s bits; -0.0 == 0.0 but not its bits.
+  bool store = !(value == T{});
+  if constexpr (std::is_floating_point_v<T>) store |= std::signbit(value);
+  if (store) std::fill(local.begin(), local.end(), value);
+  if (!proc.fusing()) {
+    if (proc.fuse_mode() == parix::FuseMode::kOn)
+      proc.fusion().note_rejected(parix::FusionReject::kPath);
+    detail::create_pass<T>(proc, local.size(), [] {});
+    return a;
+  }
+  if (store) {
     const parix::TraceSpan span(proc, "array_create");
-    auto& local = a.local();
-    std::fill(local.begin(), local.end(), value);
     proc.charge(op_kind<T>(), static_cast<std::uint64_t>(local.size()));
   }
   proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);

@@ -54,6 +54,16 @@ inline void array_map_charge_tail(Sink& sink, std::uint64_t elems) {
   sink.charge_elems(op_kind<T2>(), elems);
 }
 
+/// array_copy's pass over `elems` elements: `copy` (the host's copy)
+/// inside its span, then the copy's words.  An empty `copy` books a
+/// copy the host elides (DESIGN.md section 8).
+template <class T, class Copy>
+void copy_pass(parix::Proc& proc, std::size_t elems, Copy&& copy) {
+  const parix::TraceSpan span(proc, "array_copy");
+  copy();
+  proc.charge(parix::Op::kCopyWord, copy_words<T>(elems));
+}
+
 }  // namespace detail
 
 /// Applies `map_f` to all elements of `from`, writing into `to`.
@@ -160,11 +170,8 @@ void array_copy(const DistArray<T>& from, DistArray<T>& to) {
   if (&from.local() == &to.local()) return;  // self-copy is a no-op
   SKIL_REQUIRE(from.dist().same_placement(to.dist()),
                "array_copy: source and target must share one distribution");
-  const parix::TraceSpan span(from.proc(), "array_copy");
-  to.local() = from.local();
-  const std::uint64_t words =
-      (from.local().size() * sizeof(T) + sizeof(long) - 1) / sizeof(long);
-  from.proc().charge(parix::Op::kCopyWord, words);
+  detail::copy_pass<T>(from.proc(), from.local().size(),
+                       [&] { to.local() = from.local(); });
 }
 
 }  // namespace skil

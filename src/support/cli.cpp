@@ -1,6 +1,8 @@
 #include "support/cli.h"
 
 #include <algorithm>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 
 #include "support/error.h"
@@ -31,7 +33,8 @@ Cli::Cli(int argc, char** argv, std::vector<std::string> allowed)
       // the following token when one is present).
       value = argv[++i];
     }
-    SKIL_REQUIRE(permitted(name), "unknown command-line flag: --" + name);
+    if (!permitted(name))
+      throw ContractError("unknown command-line flag: --" + name);
     values_[name] = value;
   }
 }
@@ -44,20 +47,49 @@ std::string Cli::get(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
-int Cli::get_int(const std::string& name, int fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+namespace {
+
+/// The largest value Cli::count accepts.
+constexpr long kMaxCount = 1'000'000;
+
+/// `value` of flag `name` as a whole integer in [lo, hi], else a
+/// ContractError saying what the flag expects.
+int parse_int(const std::string& name, const std::string& value, long lo,
+              long hi, const std::string& expected) {
+  char* end = nullptr;
+  const long n = std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || n < lo || n > hi)
+    throw ContractError("--" + name + " expects " + expected + ", got '" +
+                        value + "'");
+  return static_cast<int>(n);
 }
 
-double Cli::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::atof(it->second.c_str());
+}  // namespace
+
+int Cli::get_int(const std::string& name, int fallback) const {
+  if (!has(name)) return fallback;
+  return parse_int(name, get(name, ""), INT_MIN, INT_MAX, "an integer");
+}
+
+int Cli::count(const std::string& name, int fallback) const {
+  if (!has(name)) return fallback;
+  return parse_int(name, get(name, ""), 1, kMaxCount,
+                   "an integer in [1, " + std::to_string(kMaxCount) + "]");
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+std::string program_name(const std::string& argv0) {
+  return argv0.empty() ? "skil" : argv0.substr(argv0.rfind('/') + 1);
+}
+
+int report_cli_error(const std::string& argv0, const std::exception& err) {
+  std::fprintf(stderr, "%s: %s\n", program_name(argv0).c_str(), err.what());
+  return 2;
 }
 
 }  // namespace skil::support

@@ -2,9 +2,10 @@
 // settlement.
 //
 // Random compositions of taped skeletons (skil array_map_taped, dpfl
-// fa_map_taped, both driven by row kernels; the DPFL map is handed its
-// array by copy, by its last handle -- updating in place -- or by move
-// while a second handle holds the partition) interleaved with eager
+// fa_map_taped, both driven by row kernels; the Skil map runs between
+// two arrays or in place, and the DPFL map is handed its array by copy,
+// by its last handle -- updating in place -- or by move while a second
+// handle holds the partition) interleaved with eager
 // skeletons (array_zip, array_fold, array_copy, fa_fold -- each an
 // extra settlement point) run over random processor counts, array
 // shapes and topologies, three ways:
@@ -71,6 +72,7 @@ enum Handoff {
 struct StepSpec {
   int kind = kSkilMap;
   int handoff = kCopyIn;  // used by the taped kDpflMap steps
+  bool in_place = false;  // used by the kSkilMap steps: a -> a
   std::vector<TapeEntrySpec> tape;  // used by the taped step kinds
   // A map is active on the columns [lo, lo + width) of each row, with
   // lo = (row * mul + add) % cols and width < cols: every row keeps an
@@ -136,6 +138,10 @@ ProgramSpec make_program(std::uint64_t seed) {
     const int draw = static_cast<int>(handoff_rng() % 6);
     step.handoff = draw < 3 ? kCopyIn : draw < 5 ? kMoveIn : kMoveShared;
   }
+  // A third stream, so both of the above stay those of the seed: half
+  // the Skil maps run in place, as Gauss's unfused phases do.
+  std::mt19937_64 in_place_rng(seed ^ 0x9E3779B97F4A7C15ull);
+  for (StepSpec& step : prog.steps) step.in_place = in_place_rng() % 2 == 0;
   return prog;
 }
 
@@ -219,9 +225,19 @@ Outcome run_program(const ProgramSpec& prog, bool taped) {
     for (const StepSpec& step : prog.steps) {
       switch (step.kind) {
         case kSkilMap: {
-          // One tape drives two consecutive map calls (a -> b, then
-          // b -> a): the second replay settles against the memo entry
-          // the first one probed, giving the settlement fuzz its
+          // In place: the paper's in-situ replacement, src == dst in
+          // every row run.
+          if (step.in_place) {
+            if (taped)
+              array_map_taped(window_kernel(step, skil_map_f),
+                              build_tape(step.tape), a, a);
+            else
+              array_map(window_body(step, skil_map_f), a, a);
+            break;
+          }
+          // Otherwise one tape drives two consecutive map calls (a -> b,
+          // then b -> a): the second replay settles against the memo
+          // entry the first one probed, giving the settlement fuzz its
           // cross-replay cache hit/miss interleavings.
           if (taped) {
             const parix::ChargeTape tape = build_tape(step.tape);
@@ -328,10 +344,13 @@ TEST(SettleFuzz, TapeOnPooledBitIdenticalToInterpAtOneAndFourCarriers) {
   std::uint64_t in_place = 0;
   std::uint64_t fresh = 0;
   int torus_programs = 0;
+  int skil_maps[2] = {0, 0};  // two-array, in place
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const ProgramSpec prog = make_program(seed * 0xD1B54A32D192ED03ull + 5);
     const bool torus = prog.distr == parix::Distr::kTorus2D;
     torus_programs += torus ? 1 : 0;
+    for (const StepSpec& step : prog.steps)
+      if (step.kind == kSkilMap) ++skil_maps[step.in_place ? 1 : 0];
     SCOPED_TRACE(::testing::Message()
                  << "seed " << seed << " p=" << prog.p << " " << prog.rows
                  << "x" << prog.cols << (torus ? " torus" : "")
@@ -378,11 +397,13 @@ TEST(SettleFuzz, TapeOnPooledBitIdenticalToInterpAtOneAndFourCarriers) {
     fresh += tape_one.fresh + tape_four.fresh;
   }
   // The windows must really select: some elements tapped, some not,
-  // and some programs placed on the torus.  Both fa_map_taped branches
-  // must have run on non-empty partitions.
+  // and some programs placed on the torus.  Both kinds of Skil map, and
+  // both fa_map_taped branches on non-empty partitions, must have run.
   EXPECT_GT(tapped, 0u);
   EXPECT_LT(tapped, mapped);
   EXPECT_GT(torus_programs, 0);
+  EXPECT_GT(skil_maps[0], 0);
+  EXPECT_GT(skil_maps[1], 0);
   EXPECT_GT(in_place, 0u);
   EXPECT_GT(fresh, 0u);
   // The identities above would be vacuous if the algebraic engine had

@@ -13,8 +13,11 @@
 
 #include <cstddef>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/gauss.h"
@@ -30,6 +33,7 @@ using skil::parix::analyze_critical_path;
 using skil::parix::ChargePath;
 using skil::parix::CriticalPath;
 using skil::parix::ExecutionEngine;
+using skil::parix::FuseMode;
 using skil::parix::ProcTrace;
 using skil::parix::RunResult;
 using skil::parix::Trace;
@@ -42,6 +46,7 @@ using skil::testing::golden_cases;
 using skil::testing::kGoldenSeed;
 using skil::testing::with_charge_path;
 using skil::testing::with_engine;
+using skil::testing::with_fuse_mode;
 
 /// Runs `fn` with `mode` as the process-wide default trace mode,
 /// restoring the previous default afterwards.
@@ -218,6 +223,62 @@ TEST(TraceSpans, SpansModeRecordsNoMessageEvents) {
     for (const TraceEvent& e : proc.events())
       EXPECT_TRUE(e.kind == TraceEventKind::kSpanBegin ||
                   e.kind == TraceEventKind::kSpanEnd);
+}
+
+// ---------------------------------------------------------------------------
+// Charged-but-not-performed work keeps its program points.  Under fuse
+// off the tape path runs Gauss's maps in place and skips host work the
+// program only pays for (Skil's copy of a into b, b's creation); it
+// must still book every such charge inside the span the interpretive
+// oracle opens when it performs the work.  So both paths must record
+// the same spans, with the same counts and virtual durations.
+
+/// Span label -> (begin count, summed virtual duration) of one run.
+using SpanTotals = std::map<std::string, std::pair<std::uint64_t, double>>;
+
+SpanTotals unfused_spans(ChargePath path,
+                         const std::function<RunResult()>& app) {
+  const RunResult run = with_fuse_mode(FuseMode::kOff, [&] {
+    return with_charge_path(
+        path, [&] { return with_trace_mode(TraceMode::kSpans, app); });
+  });
+  SpanTotals totals;
+  for (const auto& s : skil::parix::span_summary(*run.trace))
+    totals[s.name] = {s.count, s.vtime_us};
+  return totals;
+}
+
+TEST(TraceSpans, TapePathBooksElidedWorkInTheOraclesSpans) {
+  using skil::apps::gauss_dpfl;
+  using skil::apps::gauss_skil;
+  struct Case {
+    const char* name;
+    std::function<RunResult()> app;
+    std::map<std::string, std::uint64_t> pinned;  // span counts, p = 4
+  };
+  const Case cases[] = {
+      {"skil",
+       [] { return gauss_skil(4, 32, kGoldenSeed, false).run; },
+       {{"array_copy", 128}, {"array_create", 12}, {"array_map", 260}}},
+      {"skil pivoting",
+       [] { return gauss_skil(4, 32, kGoldenSeed, true).run; },
+       {{"array_copy", 4},
+        {"array_create", 12},
+        {"array_map", 260},
+        {"array_permute_rows", 124}}},
+      {"dpfl",
+       [] { return gauss_dpfl(4, 32, kGoldenSeed).run; },
+       {{"fa_map", 260}, {"fa_create", 8}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SpanTotals tape = unfused_spans(ChargePath::kTape, c.app);
+    EXPECT_EQ(tape, unfused_spans(ChargePath::kInterp, c.app));
+    for (const auto& [name, count] : c.pinned) {
+      const auto it = tape.find(name);
+      EXPECT_EQ(it == tape.end() ? 0u : it->second.first, count) << name;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 #include "parix/charge_tape.h"
 #include "parix/runtime.h"
 #include "parix_golden_cases.h"
+#include "skil/skil.h"
 #include "support/error.h"
 
 namespace {
@@ -195,6 +196,29 @@ TEST(FusionDifferential, MatmulProductsBitIdentical) {
   });
   EXPECT_TRUE(bits_equal(doff.product.storage(), don.product.storage()));
   EXPECT_LT(don.run.vtime_us, doff.run.vtime_us);
+}
+
+TEST(FusionDifferential, CreateConstStoresEveryConstantsBits) {
+  // array_create_const runs one host body in both modes and skips the
+  // store only where a fresh partition already holds the constant's
+  // bits, so -0.0 (== 0.0, but not its bits) is still stored.
+  for (const double value : {0.0, -0.0, 2.5}) {
+    const auto created = [value](FuseMode mode) {
+      return with_fuse_mode(mode, [value] {
+        std::vector<double> got;
+        (void)spmd_run(RunConfig{4, CostModel::t800()}, [&](Proc& proc) {
+          DistArray<double> c =
+              array_create_const<double>(proc, 2, Size{8, 8}, value);
+          std::vector<double> all = array_gather_root(c);
+          if (proc.id() == 0) got = std::move(all);
+        });
+        return got;
+      });
+    };
+    const std::vector<double> expected(64, value);
+    EXPECT_TRUE(bits_equal(created(FuseMode::kOff), expected)) << value;
+    EXPECT_TRUE(bits_equal(created(FuseMode::kOn), expected)) << value;
+  }
 }
 
 TEST(FusionDifferential, ShortestPathsDistancesBitIdentical) {
