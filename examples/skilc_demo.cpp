@@ -5,16 +5,17 @@
 // file given as argument or on the paper's built-in section 2.4
 // example, and prints the resulting first-order monomorphic C.
 //
-//     ./skilc_demo [--skeletonize] [file.skil]
+//     ./skilc_demo [file.skil]
 //
-// With --skeletonize the auto-skeletonization pass (DESIGN.md section
-// 16) rewrites recognized sequential loops into skeleton calls before
-// translation, and a summary of its decisions is printed.
+// It takes no flags; an unknown flag or a second file exits 2.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "skilc/compiler.h"
+#include "support/cli.h"
 #include "support/error.h"
 
 namespace {
@@ -46,20 +47,16 @@ void threshold_all (float t, array <float> A, array <int> B) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  skil::skilc::CompileOptions options;
-  const char* path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--skeletonize") {
-      options.skeletonize = true;
-    } else {
-      path = argv[i];
-    }
-  }
+int main(int argc, char** argv) try {
+  const skil::support::Cli cli(argc, argv, {});
+  const std::vector<std::string>& files = cli.positional();
+  if (files.size() > 1)
+    throw skil::support::ContractError(
+        "expects at most one .skil file, got " + std::to_string(files.size()));
 
   std::string source;
-  if (path != nullptr) {
+  if (!files.empty()) {
+    const char* path = files[0].c_str();
     std::ifstream in(path);
     if (!in) {
       std::fprintf(stderr, "cannot open %s\n", path);
@@ -79,22 +76,7 @@ int main(int argc, char** argv) {
               "------------------------------------------------\n%s\n",
               source.c_str());
   try {
-    const skil::skilc::CompileResult result =
-        skil::skilc::compile(source, options);
-    if (options.skeletonize) {
-      std::printf("---- skeletonization "
-                  "--------------------------------------------\n");
-      const skil::skilc::SkeletonizeCounters& sk = result.skeletonize;
-      std::printf("// %d loop(s) seen, %d recognized (%d map, %d fold, "
-                  "%d gen_mult), %d rejected\n",
-                  sk.loops_seen, sk.recognized(), sk.recognized_map,
-                  sk.recognized_fold, sk.recognized_gen_mult, sk.rejected());
-      for (const skil::skilc::Diagnostic& diag : result.diagnostics) {
-        if (diag.pass != "skeletonize") continue;
-        std::printf("// line %d: %s\n", diag.span.line, diag.message.c_str());
-      }
-      std::printf("\n");
-    }
+    const skil::skilc::CompileResult result = skil::skilc::compile(source);
     std::printf("---- after type checking and translation by instantiation "
                 "------\n%s",
                 result.c_code.c_str());
@@ -106,4 +88,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const skil::support::ContractError& err) {
+  return skil::support::report_cli_error(argv[0], err);
 }

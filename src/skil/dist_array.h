@@ -139,13 +139,6 @@ class DistArray {
     local_.shrink_to_fit();
   }
 
-  /// True when both handles view the same partition storage shape --
-  /// used to detect the aliasing array_gen_mult forbids.  Two distinct
-  /// SPMD-created arrays always differ in storage address.
-  bool aliases(const DistArray& other) const {
-    return valid() && other.valid() && &local_ == &other.local_;
-  }
-
  private:
   /// Storage offset of a contained index (block layout only).
   std::size_t local_offset_fast(const Index& ix) const {

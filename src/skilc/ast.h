@@ -10,10 +10,17 @@
 #include <string>
 #include <vector>
 
-#include "skilc/diagnostics.h"
 #include "skilc/types.h"
 
 namespace skil::skilc {
+
+/// A 1-based source position.  line == 0 means "no location known".
+struct Span {
+  int line = 0;
+  int column = 0;
+
+  bool known() const { return line > 0; }
+};
 
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
@@ -98,7 +105,6 @@ struct Param {
   int line = 0;  ///< position of the parameter name
   int column = 0;
   bool is_function() const { return type->kind == Type::Kind::kFunction; }
-  Span span() const { return Span{line, column}; }
 };
 
 struct Function {
@@ -109,8 +115,6 @@ struct Function {
   bool is_prototype = false;  ///< declaration without body (skeleton header)
   int line = 0;               ///< position of the function name
   int column = 0;
-
-  Span span() const { return Span{line, column}; }
 
   /// A higher-order function: has at least one functional parameter.
   bool is_hof() const {

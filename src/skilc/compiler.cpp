@@ -8,63 +8,10 @@
 namespace skil::skilc {
 
 CompileResult compile(const std::string& source) {
-  return compile(source, AnalyzeOptions{});
-}
-
-CompileResult compile(const std::string& source,
-                      const AnalyzeOptions& options) {
-  CompileOptions full;
-  full.analyze = options;
-  return compile(source, full);
-}
-
-CompileResult compile(const std::string& source,
-                      const CompileOptions& options) {
+  Program typed = parse(source);
+  typecheck(typed);
   CompileResult result;
-  result.typed = parse(source);
-  typecheck(result.typed);
-
-  AnalyzeOptions analyze_options = options.analyze;
-  // The rewrites' own notes supersede the advisory passes: running
-  // both would report every decision twice.
-  if (options.fuse) analyze_options.fusion = false;
-  if (options.skeletonize) analyze_options.skeletonize = false;
-
-  DiagnosticSink sink;
-  analyze(result.typed, sink, analyze_options);
-  for (const Diagnostic& diag : sink.diagnostics()) {
-    if (diag.severity != Severity::kError) continue;
-    std::string what = "skil analysis: ";
-    if (diag.span.known())
-      what += "line " + std::to_string(diag.span.line) + ":" +
-              std::to_string(diag.span.column) + ": ";
-    what += diag.message;
-    throw AnalysisError(what, diag.span.line, diag.span.column);
-  }
-
-  if (options.skeletonize) {
-    // Runs before fusion so recognized loops become skeleton calls the
-    // fusion matcher can compose with hand-written neighbours.  The
-    // synthesized customizing functions and spliced skeleton bodies
-    // carry no type annotations; re-typechecking fills them in.
-    result.skeletonize = skeletonize_program(result.typed, sink);
-    if (result.skeletonize.recognized() > 0) typecheck(result.typed);
-    sink.sort_by_location();
-  }
-
-  if (options.fuse) {
-    // Analysis passed, so every customizing function the matcher will
-    // consult has a purity summary.  The synthesized wrappers carry no
-    // type annotations; re-typechecking fills them in (the checker
-    // collects all signatures before checking bodies, so the appended
-    // wrappers may call functions defined anywhere in the program).
-    result.fusion = fuse_program(result.typed, sink);
-    if (result.fusion.fused() > 0) typecheck(result.typed);
-    sink.sort_by_location();
-  }
-  result.diagnostics = sink.diagnostics();
-
-  result.instantiated = instantiate(result.typed);
+  result.instantiated = instantiate(typed);
   result.c_code = emit_program(result.instantiated);
   return result;
 }

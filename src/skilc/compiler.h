@@ -1,62 +1,21 @@
 // The skilc pipeline: lex -> parse -> polymorphic type check ->
-// semantic analysis -> translation by instantiation -> C emission
-// (paper sections 2.2-2.4).
+// translation by instantiation -> C emission (paper sections 2.2-2.4).
 #pragma once
 
 #include <string>
 
-#include "skilc/analyze.h"
 #include "skilc/ast.h"
-#include "skilc/diagnostics.h"
-#include "skilc/fusion.h"
-#include "skilc/skeletonize.h"
 
 namespace skil::skilc {
 
 struct CompileResult {
-  Program typed;         ///< the checked source program
   Program instantiated;  ///< first-order monomorphic translation
   std::string c_code;    ///< emitted C-like text of the translation
-  /// Analysis findings (warnings included; error-level findings never
-  /// reach here -- compile() throws AnalysisError first).
-  std::vector<Diagnostic> diagnostics;
-  /// Outcome of the fusion pass (all zero unless CompileOptions::fuse
-  /// requested the rewrite).
-  FusionStats fusion;
-  /// Outcome of the skeletonization pass (all zero unless
-  /// CompileOptions::skeletonize requested the rewrite).
-  SkeletonizeCounters skeletonize;
 };
 
-/// Full pipeline configuration.
-struct CompileOptions {
-  AnalyzeOptions analyze;
-  /// Rewrite provably safe adjacent skeleton compositions (the
-  /// compiler side of DESIGN.md section 13) before instantiation.
-  /// The fused program is re-typechecked; every decision lands in
-  /// CompileResult::diagnostics as a "fusion" note.
-  bool fuse = false;
-  /// Rewrite recognized sequential loops into skeleton calls
-  /// (DESIGN.md section 16) before fusion, so a recognized map can
-  /// fuse with an adjacent skeleton call.  The rewritten program is
-  /// re-typechecked; every decision lands in
-  /// CompileResult::diagnostics as a "skeletonize" note.
-  bool skeletonize = false;
-};
-
-/// Runs the whole pipeline; throws ContractError / TypeError /
-/// AnalysisError / InstantiationError with diagnostics on bad
-/// programs.  Instantiation is refused when the analysis passes find
-/// an error-level defect (use before initialization, an impure
-/// skeleton argument).
+/// Runs the whole pipeline; throws ContractError (lexer, parser),
+/// TypeError or InstantiationError, each carrying a source span, on
+/// bad programs.
 CompileResult compile(const std::string& source);
-
-/// As compile(), but with explicit analysis-pass switches.
-CompileResult compile(const std::string& source,
-                      const AnalyzeOptions& options);
-
-/// As compile(), with full pipeline options (fusion rewrite).
-CompileResult compile(const std::string& source,
-                      const CompileOptions& options);
 
 }  // namespace skil::skilc

@@ -198,12 +198,6 @@ std::string emit_param(const Param& param, bool mangle) {
 
 }  // namespace
 
-std::string emit_expr(const Expr& expr) {
-  std::ostringstream os;
-  emit(expr, os, 0);
-  return os.str();
-}
-
 std::string emit_program(const Program& program, bool mangle) {
   std::ostringstream os;
   for (const PardataDecl& decl : program.pardatas) {

@@ -19,11 +19,10 @@ namespace skil::skilc {
 /// Mangled C name of a monomorphic type (array <float> -> floatarray).
 std::string mangle_type(const TypePtr& type);
 
-/// Renders one expression / a whole program as C-like source.  With
-/// `mangle` false, declared types keep the Skil spelling
-/// (`array <float>` rather than `floatarray`), which keeps the output
-/// inside the Skil language itself (used by the round-trip tests).
-std::string emit_expr(const Expr& expr);
+/// Renders a whole program as C-like source.  With `mangle` false,
+/// declared types keep the Skil spelling (`array <float>` rather than
+/// `floatarray`), which keeps the output inside the Skil language
+/// itself (used by the round-trip tests).
 std::string emit_program(const Program& program, bool mangle = true);
 
 }  // namespace skil::skilc

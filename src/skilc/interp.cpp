@@ -8,8 +8,11 @@ namespace skil::skilc {
 
 namespace {
 
-/// Signed arithmetic through unsigned casts: the fuzz tests feed
-/// arbitrary ints, and wrapping is well-defined where overflow is not.
+/// Evaluation steps run_function allows before it gives up.
+constexpr long kStepBudget = 50'000'000;
+
+/// Signed arithmetic through unsigned casts: wrapping is well-defined
+/// where overflow is not.
 long wrap_add(long a, long b) {
   return static_cast<long>(static_cast<unsigned long>(a) +
                            static_cast<unsigned long>(b));
@@ -58,8 +61,7 @@ long as_long(const Value& v) {
 
 class Interp {
  public:
-  Interp(const Program& program, long step_budget)
-      : program_(program), steps_left_(step_budget) {}
+  explicit Interp(const Program& program) : program_(program) {}
 
   Value call(const std::string& name, std::vector<Value> args) {
     const Function* fn = program_.find_function(name);
@@ -305,7 +307,7 @@ class Interp {
   }
 
   const Program& program_;
-  long steps_left_;
+  long steps_left_ = kStepBudget;
 };
 
 }  // namespace
@@ -335,7 +337,7 @@ bool value_bits_equal(const Value& a, const Value& b) {
 }
 
 Value run_function(const Program& program, const std::string& name,
-                   std::vector<Value> args, long step_budget) {
+                   std::vector<Value> args) {
   const Function* fn = program.find_function(name);
   std::string target = name;
   if (fn == nullptr || fn->is_prototype) {
@@ -349,7 +351,7 @@ Value run_function(const Program& program, const std::string& name,
       }
     }
   }
-  Interp interp(program, step_budget);
+  Interp interp(program);
   return interp.call(target, std::move(args));
 }
 

@@ -1,12 +1,12 @@
 // A reference interpreter for instantiated Skil programs.
 //
-// The skeletonization differential tests (tests/test_parix_skel_run)
-// need a ground truth: the sequential meaning of a .skil program
-// before and after the loop-to-skeleton rewrite must agree bit for
-// bit.  This interpreter executes the *instantiated* (first-order,
-// monomorphic) program directly over boxed values, so both sides of
-// the comparison run through the same evaluator and the only variable
-// is the rewrite itself.
+// It is the oracle for translation by instantiation (paper section
+// 2.4): tests/test_skilc_interp compiles the paper's own .skil
+// programs, runs the first-order, monomorphic output here over boxed
+// values, and requires the bits the runtime library's skeletons
+// compute for the same program on both execution engines.  A wrong
+// instance, a dropped lifted argument or a misplaced section would
+// change those bits.
 //
 // Supported surface: exactly what instantiation emits -- int/float
 // scalars, array values with C reference semantics (an array argument
@@ -70,9 +70,10 @@ bool value_bits_equal(const Value& a, const Value& b);
 
 /// Calls `name` (exact instantiated name, or the pre-instantiation
 /// root name -- roots keep their names, so `main_like` entry points
-/// resolve exactly) with `args`, executing at most `step_budget`
-/// evaluation steps before throwing InterpError (fuzz safety net).
+/// resolve exactly) with `args`, executing at most 50 million
+/// evaluation steps before throwing InterpError (so a program that
+/// does not terminate fails instead of hanging).
 Value run_function(const Program& program, const std::string& name,
-                   std::vector<Value> args, long step_budget = 50000000);
+                   std::vector<Value> args);
 
 }  // namespace skil::skilc

@@ -13,10 +13,9 @@ class Checker {
   explicit Checker(Program& program)
       : program_(program), pardata_names_(program.pardata_names()) {}
 
-  /// Checks every function.  With a sink, failing functions each
-  /// record one diagnostic and checking continues; without one, the
-  /// first failure propagates as TypeError.
-  bool run(DiagnosticSink* sink) {
+  /// Checks every function; the first failure propagates as
+  /// TypeError.
+  void run() {
     for (const Function& fn : program_.functions) {
       if (globals_.count(fn.name) != 0 && !fn.is_prototype &&
           !program_.find_function(fn.name)->is_prototype) {
@@ -28,24 +27,8 @@ class Checker {
       }
       globals_[fn.name] = fn.type();
     }
-    bool ok = true;
-    for (Function& fn : program_.functions) {
-      if (fn.is_prototype) continue;
-      if (!sink) {
-        check_function(fn);
-        continue;
-      }
-      try {
-        check_function(fn);
-      } catch (const TypeError& error) {
-        ok = false;
-        sink->report(Severity::kError, "type",
-                     Span{error.line(), error.column()},
-                     error.bare().empty() ? error.what() : error.bare(),
-                     "in function '" + fn.name + "'");
-      }
-    }
-    return ok;
+    for (Function& fn : program_.functions)
+      if (!fn.is_prototype) check_function(fn);
   }
 
  private:
@@ -250,10 +233,6 @@ class Checker {
 
 }  // namespace
 
-void typecheck(Program& program) { Checker(program).run(nullptr); }
-
-bool typecheck_collect(Program& program, DiagnosticSink& sink) {
-  return Checker(program).run(&sink);
-}
+void typecheck(Program& program) { Checker(program).run(); }
 
 }  // namespace skil::skilc

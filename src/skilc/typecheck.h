@@ -12,19 +12,14 @@
 #include <string>
 
 #include "skilc/ast.h"
-#include "skilc/diagnostics.h"
 #include "support/error.h"
 
 namespace skil::skilc {
 
 /// A Skil type error, carrying a source span when known.  `bare()` is
-/// the message without the "skil type error: line L:C:" prefix, for
-/// embedding into structured diagnostics that render their own span.
+/// the message without the "skil type error: line L:C:" prefix.
 class TypeError : public support::Error {
  public:
-  explicit TypeError(const std::string& what) : support::Error(what) {}
-  TypeError(const std::string& what, int line, int column)
-      : support::Error(what, line, column) {}
   TypeError(const std::string& what, std::string bare, int line, int column)
       : support::Error(what, line, column), bare_(std::move(bare)) {}
 
@@ -37,12 +32,5 @@ class TypeError : public support::Error {
 /// Annotates every expression in the program with its type.
 /// Throws TypeError on ill-typed programs.
 void typecheck(Program& program);
-
-/// Collecting variant: checks every function, recording one
-/// error-level Diagnostic (pass "type") per failing function into
-/// `sink` instead of stopping at the first ill-typed one.  Functions
-/// that check cleanly are fully annotated as with typecheck().
-/// Returns true when no type error was found.
-bool typecheck_collect(Program& program, DiagnosticSink& sink);
 
 }  // namespace skil::skilc

@@ -57,17 +57,6 @@ TypePtr Type::make_function(std::vector<TypePtr> params, TypePtr result) {
   return type;
 }
 
-bool type_equal(const TypePtr& a, const TypePtr& b) {
-  if (a->kind != b->kind || a->name != b->name ||
-      a->params.size() != b->params.size())
-    return false;
-  for (std::size_t i = 0; i < a->params.size(); ++i)
-    if (!type_equal(a->params[i], b->params[i])) return false;
-  if ((a->result == nullptr) != (b->result == nullptr)) return false;
-  if (a->result && !type_equal(a->result, b->result)) return false;
-  return true;
-}
-
 std::string type_to_string(const TypePtr& type) {
   switch (type->kind) {
     case Type::Kind::kInt:

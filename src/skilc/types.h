@@ -49,9 +49,6 @@ struct Type {
   static TypePtr make_function(std::vector<TypePtr> params, TypePtr result);
 };
 
-/// Structural equality.
-bool type_equal(const TypePtr& a, const TypePtr& b);
-
 /// "$t"-style rendering, e.g. "int (float, $t)" for function types.
 std::string type_to_string(const TypePtr& type);
 

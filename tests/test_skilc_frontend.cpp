@@ -1,9 +1,13 @@
-// Tests for the skilc front end: lexer, parser, and type rendering.
+// Tests for the skilc front end: lexer, parser, type rendering, and the
+// source spans every pipeline stage puts on its errors.
 #include <gtest/gtest.h>
 
+#include "skilc/compiler.h"
 #include "skilc/emit.h"
+#include "skilc/instantiate.h"
 #include "skilc/lexer.h"
 #include "skilc/parser.h"
+#include "skilc/typecheck.h"
 #include "support/error.h"
 
 namespace {
@@ -181,6 +185,77 @@ TEST(Types, MangledNamesMatchThePaper) {
   EXPECT_EQ(mangle_type(Type::make_named("array", {Type::make_int()})),
             "intarray");
   EXPECT_EQ(mangle_type(Type::make_pointer(Type::make_int())), "int *");
+}
+
+// --- span-carrying errors from every pipeline stage -----------------------
+
+TEST(SpanErrors, LexerErrorCarriesLineAndColumn) {
+  try {
+    parse("int f (int x) { return x @ 1; }");
+    FAIL() << "expected ContractError";
+  } catch (const skil::support::ContractError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("line 1:"), std::string::npos) << what;
+    EXPECT_EQ(error.line(), 1);
+    EXPECT_GT(error.column(), 0);
+  }
+}
+
+TEST(SpanErrors, MalformedSectionIsASpannedParseError) {
+  try {
+    parse("int f (int x) { return (+ x; }");
+    FAIL() << "expected ContractError";
+  } catch (const skil::support::ContractError& error) {
+    EXPECT_EQ(error.line(), 1);
+    EXPECT_GT(error.column(), 0);
+  }
+}
+
+TEST(SpanErrors, UnboundNameIsASpannedTypeError) {
+  try {
+    Program program = parse("int f (int x) {\n  return x + missing;\n}");
+    typecheck(program);
+    FAIL() << "expected TypeError";
+  } catch (const TypeError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("line 2:"), std::string::npos) << what;
+    EXPECT_EQ(error.line(), 2);
+    EXPECT_GT(error.column(), 0);
+    EXPECT_NE(std::string(error.bare()).find("missing"), std::string::npos);
+  }
+}
+
+TEST(SpanErrors, ArityMismatchedPartialApplicationIsSpanned) {
+  // above(1.0, 2.0, mk_index(0), 9) applies one argument too many.
+  try {
+    Program program = parse(R"(
+      Index mk_index(int i);
+      int above (float t, float e, Index ix) { return e >= t; }
+      int use (float a, float b) {
+        return above(a, b, mk_index(0), 9);
+      }
+    )");
+    typecheck(program);
+    FAIL() << "expected TypeError";
+  } catch (const TypeError& error) {
+    EXPECT_EQ(error.line(), 5);
+    EXPECT_GT(error.column(), 0);
+  }
+}
+
+TEST(SpanErrors, InstantiationErrorCarriesTheCallSiteSpan) {
+  try {
+    compile(R"(
+      int apply (int f (int), int x) { return f(x); }
+      int twice (int g (int), int x) { return g(g(x)); }
+      int inc (int x) { return x + 1; }
+      int use (int x) { return apply(twice(inc), x); }
+    )");
+    FAIL() << "expected InstantiationError";
+  } catch (const InstantiationError& error) {
+    EXPECT_EQ(error.line(), 5);
+    EXPECT_GT(error.column(), 0);
+  }
 }
 
 }  // namespace
