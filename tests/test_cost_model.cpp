@@ -3,11 +3,16 @@
 // tests check relationships, not absolute values).
 #include <gtest/gtest.h>
 
+#include "apps/gauss.h"
+#include "apps/matmul.h"
+#include "apps/shortest_paths.h"
+#include "apps/stencil_jacobi.h"
 #include "parix/cost_model.h"
 
 namespace {
 
 using namespace skil::parix;
+namespace apps = skil::apps;
 
 TEST(CostModel, UnitLookupMatchesFields) {
   const CostModel cm = CostModel::t800();
@@ -49,6 +54,88 @@ TEST(CostModel, MessageStartupDominatesSmallMessages) {
   // efficiency (paper section 5.2's discussion of Figure 1).
   const CostModel cm = CostModel::t800();
   EXPECT_GT(cm.msg_startup_us, 100 * cm.msg_per_byte_us);
+}
+
+/// `c` with all ten constants doubled.
+CostModel doubled(CostModel c) {
+  for (double* k : {&c.int_op_us, &c.float_op_us, &c.call_us,
+                    &c.indirect_call_us, &c.alloc_us, &c.copy_word_us,
+                    &c.msg_startup_us, &c.msg_per_byte_us, &c.msg_per_hop_us,
+                    &c.recv_overhead_us})
+    *k *= 2.0;
+  return c;
+}
+
+TEST(CostModel, EveryAppVtimeIsHomogeneousInTheConstants) {
+  // Virtual time is a sum, max and product of the constants with
+  // counts, and doubling is exact in binary FP, so doubling every
+  // constant must double every app's vtime bit for bit.  This keeps
+  // the model linear (what an exact per-constant share of a vtime
+  // rests on) and SKIL_COLL=auto's picks invariant under the scale.
+  struct App {
+    const char* name;
+    double (*vtime_us)(int p, const CostModel& cost);
+  };
+  const App kApps[] = {
+      {"gauss_skil",
+       [](int p, const CostModel& c) {
+         return apps::gauss_skil(p, 32, 7, false, c).run.vtime_us;
+       }},
+      {"gauss_skil_pivoting",
+       [](int p, const CostModel& c) {
+         return apps::gauss_skil(p, 32, 7, true, c).run.vtime_us;
+       }},
+      {"gauss_dpfl",
+       [](int p, const CostModel& c) {
+         return apps::gauss_dpfl(p, 32, 7, c).run.vtime_us;
+       }},
+      {"gauss_c",
+       [](int p, const CostModel& c) {
+         return apps::gauss_c(p, 32, 7, c).run.vtime_us;
+       }},
+      {"shpaths_skil",
+       [](int p, const CostModel& c) {
+         return apps::shpaths_skil(p, 16, 7, c).run.vtime_us;
+       }},
+      {"shpaths_dpfl",
+       [](int p, const CostModel& c) {
+         return apps::shpaths_dpfl(p, 16, 7, c).run.vtime_us;
+       }},
+      {"shpaths_c_optimized",
+       [](int p, const CostModel& c) {
+         return apps::shpaths_c(p, 16, 7, true, c).run.vtime_us;
+       }},
+      {"shpaths_c_old_sync",
+       [](int p, const CostModel& c) {
+         return apps::shpaths_c(p, 16, 7, false, c).run.vtime_us;
+       }},
+      {"matmul_skil",
+       [](int p, const CostModel& c) {
+         return apps::matmul_skil(p, 16, 7, c).run.vtime_us;
+       }},
+      {"matmul_dpfl",
+       [](int p, const CostModel& c) {
+         return apps::matmul_dpfl(p, 16, 7, c).run.vtime_us;
+       }},
+      {"matmul_c",
+       [](int p, const CostModel& c) {
+         return apps::matmul_c(p, 16, 7, c).run.vtime_us;
+       }},
+      {"matmul_summa",
+       [](int p, const CostModel& c) {
+         return apps::matmul_summa(p, 16, 7, c).run.vtime_us;
+       }},
+      {"stencil_jacobi",
+       [](int p, const CostModel& c) {
+         return apps::stencil_jacobi(p, 64, 10, c).run.vtime_us;
+       }},
+  };
+  const CostModel base = CostModel::t800();
+  const CostModel twice = doubled(base);
+  for (const int p : {4, 16})
+    for (const App& app : kApps)
+      EXPECT_EQ(app.vtime_us(p, twice), 2.0 * app.vtime_us(p, base))
+          << app.name << " p " << p;
 }
 
 TEST(Stats, AggregationSums) {
