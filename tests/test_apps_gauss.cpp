@@ -69,8 +69,11 @@ INSTANTIATE_TEST_SUITE_P(Shapes, Gauss,
                                            GCase{4, 16}, GCase{4, 18},
                                            GCase{8, 24}, GCase{6, 17}),
                          [](const auto& info) {
-                           return "p" + std::to_string(info.param.p) + "_n" +
-                                  std::to_string(info.param.n);
+                           std::string name = "p";
+                           name += std::to_string(info.param.p);
+                           name += "_n";
+                           name += std::to_string(info.param.n);
+                           return name;
                          });
 
 TEST(GaussCost, DpflSlowerThanSkilSlowerThanC) {

@@ -55,8 +55,11 @@ INSTANTIATE_TEST_SUITE_P(Shapes, Matmul,
                                            MCase{4, 10}, MCase{9, 12},
                                            MCase{16, 16}),
                          [](const auto& info) {
-                           return "p" + std::to_string(info.param.p) + "_n" +
-                                  std::to_string(info.param.n);
+                           std::string name = "p";
+                           name += std::to_string(info.param.p);
+                           name += "_n";
+                           name += std::to_string(info.param.n);
+                           return name;
                          });
 
 TEST(MatmulCost, SkilIsModeratelySlowerThanOptimizedC) {

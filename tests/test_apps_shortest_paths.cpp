@@ -70,8 +70,11 @@ INSTANTIATE_TEST_SUITE_P(Grids, ShortestPaths,
                                            // remainder.
                                            SpCase{4, 150}),
                          [](const auto& info) {
-                           return "p" + std::to_string(info.param.p) + "_n" +
-                                  std::to_string(info.param.n);
+                           std::string name = "p";
+                           name += std::to_string(info.param.p);
+                           name += "_n";
+                           name += std::to_string(info.param.n);
+                           return name;
                          });
 
 TEST(ShortestPathsCost, SkilBeatsOldCButNotOptimizedC) {

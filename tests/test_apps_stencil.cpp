@@ -46,7 +46,9 @@ TEST_P(Stencil, DiffusionOnlyFlattensTheProfile) {
   const auto [p, cells, steps] = GetParam();
   const auto one = apps::stencil_jacobi(p, cells, 1);
   const auto many = apps::stencil_jacobi(p, cells, steps);
-  if (steps > 1) EXPECT_LE(many.peak, one.peak);
+  if (steps > 1) {
+    EXPECT_LE(many.peak, one.peak);
+  }
 }
 
 TEST_P(Stencil, ResultBitIdenticalAcrossAllCollModes) {
@@ -70,9 +72,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SCase{1, 24, 4}, SCase{3, 50, 8}, SCase{4, 128, 10},
                       SCase{8, 96, 12}, SCase{16, 256, 6}),
     [](const ::testing::TestParamInfo<SCase>& info) {
-      return "p" + std::to_string(info.param.p) + "_c" +
-             std::to_string(info.param.cells) + "_s" +
-             std::to_string(info.param.steps);
+      std::string name = "p";
+      name += std::to_string(info.param.p);
+      name += "_c";
+      name += std::to_string(info.param.cells);
+      name += "_s";
+      name += std::to_string(info.param.steps);
+      return name;
     });
 
 TEST(StencilGoldens, VtimesArePinnedPerMode) {

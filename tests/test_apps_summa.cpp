@@ -84,8 +84,11 @@ INSTANTIATE_TEST_SUITE_P(Grid, Summa,
                                            MCase{4, 30}, MCase{9, 36},
                                            MCase{16, 64}),
                          [](const ::testing::TestParamInfo<MCase>& info) {
-                           return "p" + std::to_string(info.param.p) + "_n" +
-                                  std::to_string(info.param.n);
+                           std::string name = "p";
+                           name += std::to_string(info.param.p);
+                           name += "_n";
+                           name += std::to_string(info.param.n);
+                           return name;
                          });
 
 // Pinned vtimes: tree mode pins the binomial panel-broadcast schedule,

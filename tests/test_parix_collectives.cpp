@@ -146,8 +146,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{16, Distr::kTorus2D}, Case{16, Distr::kHypercube},
                       Case{25, Distr::kTorus2D}),
     [](const ::testing::TestParamInfo<Case>& info) {
-      return "p" + std::to_string(info.param.nprocs) + "_" +
-             std::string(distr_name(info.param.distr)).substr(6);
+      std::string name = "p";
+      name += std::to_string(info.param.nprocs);
+      name += "_";
+      name += std::string(distr_name(info.param.distr)).substr(6);
+      return name;
     });
 
 TEST(TorusRotate, FullCycleRestoresPayloads) {
