@@ -16,6 +16,7 @@
 // timings.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -45,6 +46,33 @@ inline constexpr int kOpKinds = static_cast<int>(Op::kCount_);
 enum class SendMode {
   kAsync,  ///< sender pays startup only; transfer overlaps computation
   kSync,   ///< sender blocks until the message is delivered (old Parix-C)
+};
+
+/// A processor's link channels, each holding when its latest message
+/// finishes streaming: the T800 had four bidirectional links, modelled
+/// as four independent channels per direction.
+struct LinkChannels {
+  std::array<double, 4> out{};
+  std::array<double, 4> in{};
+
+  /// The earliest-free channel of `side` (the first of equals).
+  static double& earliest(std::array<double, 4>& side) {
+    double* best = &side[0];
+    for (double& ch : side)
+      if (ch < *best) best = &ch;
+    return *best;
+  }
+};
+
+struct SendTimes {
+  double arrival;  ///< when the last hop has delivered the message
+  double done;     ///< the sender's clock after the send
+};
+
+struct RecvTimes {
+  double queued;     ///< finish time behind the receiver's earlier arrivals
+  double delivered;  ///< max(arrival, queued)
+  double ready;      ///< the receiver's clock after the receive
 };
 
 /// Calibrated unit costs in microseconds.  See DESIGN.md section 5 for
@@ -110,6 +138,44 @@ struct CostModel {
     return msg_startup_us +
            msg_per_byte_us * static_cast<double>(bytes) * eff_hops +
            msg_per_hop_us * static_cast<double>(eff_hops - 1);
+  }
+
+  // Message timing.  Proc and SKIL_COLL=auto's dry run (collectives.h)
+  // time every message here; the operation order is the vtime
+  // artefact, so do not reorder it.
+
+  /// A send of `bytes` over `hops` by a processor at clock `vtime`:
+  /// software startup on its clock, then the first hop occupies its
+  /// earliest-free outgoing channel, so a burst of sends serialises
+  /// once all four stream (what makes a flat "send to everyone"
+  /// broadcast degrade on large networks, unlike the skeletons'
+  /// trees); the remaining hops store and forward.
+  SendTimes time_send(LinkChannels& links, double vtime, std::size_t bytes,
+                      int hops, SendMode mode) const {
+    const double ready = vtime + msg_startup_us;
+    const double first_hop_us = msg_per_byte_us * static_cast<double>(bytes);
+    double& channel = LinkChannels::earliest(links.out);
+    const double link_start = std::max(ready, channel);
+    channel = link_start + first_hop_us;
+    const double arrival =
+        link_start + transfer_us(bytes, hops) - msg_startup_us;
+    return {arrival, mode == SendMode::kSync ? arrival : ready};
+  }
+
+  /// The receive of a message of `bytes` arriving at `arrival`, by a
+  /// processor at clock `vtime`.  Deliveries serialise on its incoming
+  /// channels, so back-to-back arrivals queue up (what makes flat
+  /// gathers onto one root lose to the paper's tree folds on larger
+  /// networks); its clock advances to the later of its own time plus
+  /// the receive overhead and the delivery.
+  RecvTimes time_recv(LinkChannels& links, double vtime, std::size_t bytes,
+                      double arrival) const {
+    const double last_hop_us = msg_per_byte_us * static_cast<double>(bytes);
+    double& channel = LinkChannels::earliest(links.in);
+    const double queued = channel + last_hop_us;
+    const double delivered = std::max(arrival, queued);
+    channel = delivered;
+    return {queued, delivered, std::max(vtime + recv_overhead_us, delivered)};
   }
 
   /// Default model: the paper's machine with Parix asynchronous links

@@ -35,10 +35,18 @@ std::size_t payload_bytes(const T&) {
   return sizeof(T);
 }
 
+/// Wire size of a vector of `elems` trivially copyable elements of
+/// `elem_bytes` each: the data plus a small length header.  Also sizes
+/// SKIL_COLL=auto's dry runs (coll_pick.cpp).
+constexpr std::size_t vector_wire_bytes(std::size_t elems,
+                                        std::size_t elem_bytes) {
+  return elems * elem_bytes + 8;
+}
+
 template <class T>
   requires std::is_trivially_copyable_v<T>
 std::size_t payload_bytes(const std::vector<T>& v) {
-  return v.size() * sizeof(T) + 8;
+  return vector_wire_bytes(v.size(), sizeof(T));
 }
 
 inline std::size_t payload_bytes(const std::string& s) {

@@ -7,7 +7,6 @@
 // from message timestamps, never from host scheduling.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -167,11 +166,7 @@ class Proc {
 
   /// Receives a value of type T from `src` under `tag`.  The virtual
   /// clock advances to the later of (local time + receive overhead) and
-  /// the message's delivery time.  Deliveries into one processor
-  /// serialise on its incoming links: a message cannot finish arriving
-  /// while a previous one is still streaming in, so back-to-back
-  /// arrivals queue up (this is what makes flat gathers onto one root
-  /// lose to the paper's tree folds on larger networks).
+  /// the message's delivery time (CostModel::time_recv).
   template <class T>
   T recv(int src, long tag) {
     SKIL_ASSERT(src >= 0 && src < nprocs_,
@@ -180,16 +175,10 @@ class Proc {
     SKIL_ASSERT(msg.type != nullptr && *msg.type == typeid(T),
                 std::string("recv: payload type mismatch for tag ") +
                     std::to_string(tag));
-    // The receive arithmetic below observes the clock.
+    // The receive timing observes the clock.
     maybe_settle();
-    const double last_hop_us =
-        cost().msg_per_byte_us * static_cast<double>(msg.bytes);
-    double& channel = earliest(in_links_);
-    const double queued = channel + last_hop_us;
-    const double delivered = std::max(msg.arrival_vtime, queued);
-    channel = delivered;
-    const double ready =
-        std::max(vtime_ + cost().recv_overhead_us, delivered);
+    const RecvTimes t =
+        cost().time_recv(links_, vtime_, msg.bytes, msg.arrival_vtime);
     if (trace_ != nullptr) [[unlikely]] {
       if (trace_->full()) {
         // Which constraint bound `ready` is the causal edge the
@@ -197,15 +186,16 @@ class Proc {
         // then the arrival (a tie means both paths are critical --
         // either choice yields a maximal chain).
         const RecvBound bound =
-            vtime_ + cost().recv_overhead_us >= delivered ? RecvBound::kLocal
-            : msg.arrival_vtime >= queued                 ? RecvBound::kArrival
-                                                          : RecvBound::kChannel;
-        trace_->record_recv(vtime_, ready, src, tag, msg.bytes,
+            vtime_ + cost().recv_overhead_us >= t.delivered
+                ? RecvBound::kLocal
+            : msg.arrival_vtime >= t.queued ? RecvBound::kArrival
+                                            : RecvBound::kChannel;
+        trace_->record_recv(vtime_, t.ready, src, tag, msg.bytes,
                             msg.trace_seq, bound);
       }
     }
-    stats_.comm_us += ready - vtime_;
-    vtime_ = ready;
+    stats_.comm_us += t.ready - vtime_;
+    vtime_ = t.ready;
     stats_.messages_received += 1;
     stats_.bytes_received += msg.bytes;
     return take_payload<T>(msg);
@@ -288,17 +278,6 @@ class Proc {
                            [&] { return machine_->coll_pick(key, compute); });
   }
 
-  /// Earliest-free link channel (the T800 had four bidirectional
-  /// links; we model four independent channels per direction).
-  /// Public so the collectives' dry run (collectives.h) books its
-  /// messages onto channels exactly as dispatch and recv do.
-  static double& earliest(std::array<double, 4>& channels) {
-    double* best = &channels[0];
-    for (double& ch : channels)
-      if (ch < *best) best = &ch;
-    return *best;
-  }
-
   /// True when a fused taped variant may run: fusion is requested AND
   /// the taped charge path is active.  The fused loops replay fused
   /// tapes, so the interpretive oracle (SKIL_CHARGE=interp) always
@@ -335,38 +314,23 @@ class Proc {
   /// ledger algebraically, inline.
   void settle_pending();
 
-  /// Timestamping and accounting shared by every send flavour.  The
-  /// arithmetic sequence here is the vtime artefact -- do not reorder.
+  /// Timestamping (CostModel::time_send) and accounting shared by
+  /// every send flavour.
   void dispatch(Message msg, int dst, SendMode mode) {
-    // Sending observes the clock (the startup charge below): settle.
+    // Sending observes the clock (the startup charge): settle.
     maybe_settle();
-    const int hops = machine_->hops(id_, dst);
-    // Software startup on the sender, then the first hop occupies one
-    // of the node's four outgoing link channels: a burst of sends from
-    // one processor serialises once all channels are streaming (this
-    // is what makes a flat "send to everyone" broadcast degrade on
-    // large networks, unlike the skeletons' trees).
-    const double ready = vtime_ + cost().msg_startup_us;
-    const double first_hop_us =
-        cost().msg_per_byte_us * static_cast<double>(msg.bytes);
-    double& channel = earliest(out_links_);
-    const double link_start = std::max(ready, channel);
-    channel = link_start + first_hop_us;
-    // Remaining hops: store-and-forward through intermediate nodes.
-    const double arrival = link_start +
-                           cost().transfer_us(msg.bytes, hops) -
-                           cost().msg_startup_us;
-    msg.arrival_vtime = arrival;
-    const double sender_done = mode == SendMode::kSync ? arrival : ready;
+    const SendTimes t = cost().time_send(links_, vtime_, msg.bytes,
+                                         machine_->hops(id_, dst), mode);
+    msg.arrival_vtime = t.arrival;
     if (trace_ != nullptr) [[unlikely]] {
       if (trace_->full()) {
         msg.trace_seq = trace_->alloc_send_seq();
-        trace_->record_send(vtime_, sender_done, dst, msg.tag, msg.bytes,
+        trace_->record_send(vtime_, t.done, dst, msg.tag, msg.bytes,
                             msg.trace_seq);
       }
     }
-    stats_.comm_us += sender_done - vtime_;
-    vtime_ = sender_done;
+    stats_.comm_us += t.done - vtime_;
+    vtime_ = t.done;
     stats_.messages_sent += 1;
     stats_.bytes_sent += msg.bytes;
     machine_->mailbox(dst).put(std::move(msg));
@@ -378,8 +342,7 @@ class Proc {
 
   double vtime_ = 0.0;
   std::array<double, kOpKinds> unit_{};
-  std::array<double, 4> out_links_{};
-  std::array<double, 4> in_links_{};
+  LinkChannels links_;
   long next_collective_seq_ = 0;
   Stats stats_;
   /// Deferred replays/charges pending settlement (charge_tape.h).
