@@ -87,11 +87,13 @@ inline int count_flag(const support::Cli& cli, const std::string& name,
 
 /// Output path for a bench artefact.  An explicit `--<flag>=path`
 /// wins verbatim; otherwise the default file name lands in
-/// `--out-dir` (default: the working directory).  Benches passing
-/// their outputs through this accept both flags.
+/// `--out-dir` (default: the working directory).  A bare `--<flag>`
+/// parses as the boolean value "true" (cli.h) and counts as absent.
+/// Benches passing their outputs through this accept both flags.
 inline std::string out_path(const support::Cli& cli, const std::string& flag,
                             const std::string& default_name) {
-  if (cli.has(flag)) return cli.get(flag, default_name);
+  const std::string value = cli.get(flag, "true");
+  if (value != "true") return value;
   const std::string dir = cli.get("out-dir", "");
   if (dir.empty()) return default_name;
   return dir.back() == '/' ? dir + default_name : dir + "/" + default_name;
@@ -132,26 +134,16 @@ auto traced_rerun(Fn&& fn) {
 
 /// Writes the Chrome trace (--trace-out) and/or metrics JSON
 /// (--metrics-out) for a completed traced run.  An explicit flag value
-/// is a verbatim file path; a bare default name lands in --out-dir via
-/// out_path.  The Chrome export merges the SKIL_PROF=sampled host
-/// timeline (RunResult::prof) when the run carried one.
+/// is a verbatim file path; a bare flag puts the default name in
+/// --out-dir via out_path.  The Chrome export merges the
+/// SKIL_PROF=sampled host timeline (RunResult::prof) when the run
+/// carried one.
 inline void write_run_artifacts(const support::Cli& cli,
                                 const parix::RunResult& run,
                                 const std::string& stem) {
-  // A bare `--trace-out` parses as the boolean value "true" (cli.h);
-  // treat it like an absent value so the default name lands in
-  // --out-dir, same as the CSV outputs.
-  const auto artefact_path = [&](const std::string& flag,
-                                 const std::string& default_name) {
-    const std::string v = cli.get(flag, "true");
-    if (v != "true") return v;
-    const std::string dir = cli.get("out-dir", "");
-    if (dir.empty()) return default_name;
-    return dir.back() == '/' ? dir + default_name : dir + "/" + default_name;
-  };
   if (cli.has("trace-out") && run.trace != nullptr) {
-    const std::string path = artefact_path("trace-out",
-                                           "trace_" + stem + ".json");
+    const std::string path = out_path(cli, "trace-out",
+                                      "trace_" + stem + ".json");
     std::ofstream os(path);
     SKIL_ASSERT(os.good(), "cannot open trace output file: " + path);
     parix::write_chrome_trace(*run.trace, run.prof.get(), os);
@@ -159,8 +151,8 @@ inline void write_run_artifacts(const support::Cli& cli,
     std::printf("wrote %s\n", path.c_str());
   }
   if (cli.has("metrics-out")) {
-    const std::string path = artefact_path("metrics-out",
-                                           "metrics_" + stem + ".json");
+    const std::string path = out_path(cli, "metrics-out",
+                                      "metrics_" + stem + ".json");
     std::ofstream os(path);
     SKIL_ASSERT(os.good(), "cannot open metrics output file: " + path);
     parix::write_metrics_json(run, os);

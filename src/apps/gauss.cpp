@@ -494,15 +494,15 @@ GaussResult gauss_c(int nprocs, int n, std::uint64_t seed,
             gauss_entry(n, size, seed, /*pivoting=*/false, row0 + i, j);
     proc.charge(parix::Op::kFloatOp, local.size());
 
+    // The broadcast ships the full normalised row (columns below k are
+    // already zero); restricting it to the active columns would
+    // complicate the code for little gain, so the hand-written program
+    // -- like the skeleton's array_broadcast_part -- moves whole rows,
+    // through one buffer for the whole run.
+    std::vector<double> pivrow(width);
     for (int k = 0; k < size; ++k) {
       const parix::TraceSpan step(proc, "gauss pivot round", k);
       const int owner = k / rows_per_proc;
-      // The broadcast ships the full normalised row (columns below k
-      // are already zero); restricting it to the active columns would
-      // complicate the code for little gain, so the hand-written
-      // program -- like the skeleton's array_broadcast_part -- moves
-      // whole rows.
-      std::vector<double> pivrow(width);
       if (me == owner) {
         const double* row =
             &local[static_cast<std::size_t>(k - row0) * width];

@@ -489,8 +489,8 @@ FArray<T> fa_gen_mult_impl(const FArray<T>& a, const FArray<T>& b,
     // (both run on the same Parix communication layer).
     const long tag = proc.fresh_tag();
     if (rotating) {
-      proc.send_buffer<T>(a_dst, tag, a_buf, parix::SendMode::kAsync);
-      proc.send_buffer<T>(b_dst, tag + 1, b_buf, parix::SendMode::kAsync);
+      proc.send_buffer(a_dst, tag, a_buf, parix::SendMode::kAsync);
+      proc.send_buffer(b_dst, tag + 1, b_buf, parix::SendMode::kAsync);
     }
     const std::vector<T>& a_block = *a_buf;
     const std::vector<T>& b_block = *b_buf;

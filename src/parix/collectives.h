@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -82,18 +83,31 @@ inline void note_steps(Proc& proc, CollOp op, std::uint64_t n = 1) {
   proc.coll_counters().steps[static_cast<int>(op)] += n;
 }
 
-/// Send wrapper that books the payload's wire bytes and the physical
-/// hop distance of the edge under `op` before posting the send.  The
-/// counters are host-side only; the message itself is priced by the
-/// cost model exactly as a plain proc.send would be.
+/// Books a collective edge's payload wire bytes and physical hop
+/// distance under `op`.  Host-side counters only.
+inline void note_edge(Proc& proc, const Topology& topo, CollOp op, int dst,
+                      std::size_t bytes) {
+  CollectiveCounters& c = proc.coll_counters();
+  c.bytes[static_cast<int>(op)] += bytes;
+  c.hops[static_cast<int>(op)] +=
+      static_cast<std::uint64_t>(topo.hops(proc.id(), dst));
+}
+
+/// Send wrapper that books the edge before posting the send; the
+/// message is priced exactly as a plain proc.send would be.
 template <class T>
 void coll_send(Proc& proc, const Topology& topo, CollOp op, int dst, long tag,
                T value) {
-  CollectiveCounters& c = proc.coll_counters();
-  c.bytes[static_cast<int>(op)] += payload_bytes(value);
-  c.hops[static_cast<int>(op)] +=
-      static_cast<std::uint64_t>(topo.hops(proc.id(), dst));
+  note_edge(proc, topo, op, dst, payload_bytes(value));
   proc.send<T>(dst, tag, std::move(value));
+}
+
+/// The shared-buffer form posts `buf` itself, uncopied.
+template <class T>
+void coll_send(Proc& proc, const Topology& topo, CollOp op, int dst, long tag,
+               std::shared_ptr<const T> buf) {
+  note_edge(proc, topo, op, dst, payload_bytes(*buf));
+  proc.send_buffer<T>(dst, tag, std::move(buf), proc.cost().default_send_mode);
 }
 
 /// Number of chunks the ring-pipelined broadcast always splits into.
@@ -503,22 +517,30 @@ inline CollAlgo pick_allreduce_elems(Proc& proc, const Topology& topo,
 /// Broadcast of the whole value: the seed binomial tree, message for
 /// message, or for kRing the ring chain, whose (p-1) stages each cross
 /// one ring edge, so ring-friendly embeddings pay the fewest hops.
+/// Every edge carries one shared immutable buffer: the root wraps its
+/// value once when it first sends, every other member forwards the
+/// buffer it received, and a non-root member copies it once into its
+/// own `value` (reusing that value's storage) after forwarding.
 template <class T>
 void broadcast_whole(Proc& proc, const Topology& topo, int root_hw, T& value,
                      CollOp ctx, CollAlgo algo) {
   const long tag = topo.fresh_tag(proc);
   const TreeWalk w = walk_from_root(proc, topo, root_hw);
+  std::shared_ptr<const T> buf;
   const auto step = [&](const PlanStep& st) {
-    if (st.dir == PlanStep::kRecv)
-      value = proc.recv<T>(w.hw(st.peer), tag);
-    else
-      coll_send<T>(proc, topo, ctx, w.hw(st.peer), tag, value);
+    if (st.dir == PlanStep::kRecv) {
+      buf = proc.recv_buffer<T>(w.hw(st.peer), tag);
+    } else {
+      if (buf == nullptr) buf = std::make_shared<const T>(value);
+      coll_send(proc, topo, ctx, w.hw(st.peer), tag, buf);
+    }
     note_steps(proc, ctx);
   };
   if (algo == CollAlgo::kRing)
     ring_chain_plan(w.p, w.rel, 1, 1, step);
   else
     tree_bcast_plan(w.p, w.rel, step);
+  if (w.rel != 0) value = *buf;
 }
 
 /// Ring-pipelined broadcast for large vectors: the root streams the
@@ -533,14 +555,15 @@ void broadcast_ring_pipelined(Proc& proc, const Topology& topo, int root_hw,
   if (w.p < 2) return;
   static_assert(kBcastChunks <= Proc::kTagStride,
                 "one sub-tag per chunk must fit the tag stride");
-  // The root cuts its chunks from `value`; every other member forwards
-  // what it received, so only the root's size and chunk bounds count.
+  // The root cuts its chunks from `value`; every other member appends
+  // what it receives to its emptied `value` (reusing its storage) and
+  // forwards it, so only the root's size and chunk bounds count.
+  if (w.rel > 0) value.clear();
   std::vector<U> chunk;
-  std::vector<U> assembled;
   const auto step = [&](const PlanStep& st) {
     if (st.dir == PlanStep::kRecv) {
       chunk = proc.recv<std::vector<U>>(w.hw(st.peer), tag + st.sub);
-      assembled.insert(assembled.end(), chunk.begin(), chunk.end());
+      value.insert(value.end(), chunk.begin(), chunk.end());
       return;
     }
     if (w.rel == 0)
@@ -550,7 +573,6 @@ void broadcast_ring_pipelined(Proc& proc, const Topology& topo, int root_hw,
                               std::move(chunk));
   };
   ring_chain_plan(w.p, w.rel, kBcastChunks, value.size(), step);
-  if (w.rel > 0) value = std::move(assembled);
   note_steps(proc, ctx, kBcastChunks);
 }
 

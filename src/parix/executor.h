@@ -4,7 +4,7 @@
 // threads (capped at the host's hardware concurrency) and multiplexes
 // the virtual processors of an spmd_run as ucontext fibers: each
 // processor is a run-to-completion task that *parks* (swaps back to
-// its worker) when a receive finds its mailbox bucket empty and is
+// its worker) when a receive finds no match in its mailbox and is
 // *unparked* by the exact put() that satisfies it (see
 // Mailbox::Waiter).  Compared with the legacy one-OS-thread-per-
 // processor engine this removes the per-run thread spawn/join and the

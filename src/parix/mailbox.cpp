@@ -18,34 +18,43 @@ struct CvWaiter final : Mailbox::Waiter {
 }  // namespace
 
 std::optional<Message> Mailbox::pop_match(int src, long tag) {
-  const auto it = buckets_.find(Key{src, tag});
-  if (it == buckets_.end()) return std::nullopt;
-  Message msg = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) buckets_.erase(it);
-  --pending_;
+  const auto head = queue_.begin() + static_cast<std::ptrdiff_t>(head_);
+  const auto it = std::find_if(head, queue_.end(), [&](const Message& m) {
+    return m.src == src && m.tag == tag;
+  });
+  if (it == queue_.end()) return std::nullopt;
+  Message msg = std::move(*it);
+  // Taking the head shifts nothing; a match further in moves the
+  // messages the scan passed, keeping arrival order.
+  std::move_backward(head, it, it + 1);
+  ++head_;
   return msg;
 }
 
 void Mailbox::put(Message msg) {
-  Waiter* to_wake = nullptr;
-  {
-    const std::scoped_lock lock(mutex_);
-    const Key key{msg.src, msg.tag};
-    buckets_[key].push_back(std::move(msg));
-    ++pending_;
-    const auto it = std::find_if(
-        waiters_.begin(), waiters_.end(),
-        [&](const Waiter* w) { return w->src == key.src && w->tag == key.tag; });
-    if (it != waiters_.end()) {
-      to_wake = *it;
-      if (to_wake->one_shot) waiters_.erase(it);
-      // Waking under the lock keeps the waiter alive: a CvWaiter lives
-      // on the stack of a get() that cannot resume until we unlock,
-      // and a fiber waiter is only retired by the executor after its
-      // fiber reruns take_or_wait, which also needs this lock.
-      to_wake->notify();
-    }
+  const std::scoped_lock lock(mutex_);
+  // Reclaim the taken slots once they are at least as many as the
+  // queued messages: a compaction moves no more messages than were
+  // taken since the last one, and the capacity is reused.
+  if (head_ > 0 && 2 * head_ >= queue_.size()) {
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  const int src = msg.src;
+  const long tag = msg.tag;
+  queue_.push_back(std::move(msg));
+  const auto it = std::find_if(
+      waiters_.begin(), waiters_.end(),
+      [&](const Waiter* w) { return w->src == src && w->tag == tag; });
+  if (it != waiters_.end()) {
+    Waiter* to_wake = *it;
+    if (to_wake->one_shot) waiters_.erase(it);
+    // Waking under the lock keeps the waiter alive: a CvWaiter lives
+    // on the stack of a get() that cannot resume until we unlock, and
+    // a fiber waiter is only retired by the executor after its fiber
+    // reruns take_or_wait, which also needs this lock.
+    to_wake->notify();
   }
 }
 
@@ -115,7 +124,7 @@ void Mailbox::poison(const std::string& reason) {
 
 std::size_t Mailbox::pending() const {
   const std::scoped_lock lock(mutex_);
-  return pending_;
+  return queue_.size() - head_;
 }
 
 }  // namespace skil::parix

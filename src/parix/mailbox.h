@@ -1,15 +1,17 @@
 // Per-processor mailbox with (source, tag) matched receive.
 //
-// Messages are bucketed by their (src, tag) key, so matching a receive
-// is one hash lookup instead of a linear scan of everything queued,
-// and FIFO order per (src, tag) pair is the bucket's queue order.
+// Messages wait in one flat queue in arrival order.  A receive takes
+// the first match of its (src, tag) key from the head, so FIFO order
+// per (src, tag) pair is arrival order.  Taking the oldest message is
+// O(1), and the queue reuses its storage, so steady traffic allocates
+// nothing.
 //
-// Receivers that find their bucket empty register a Waiter carrying
-// the key they wait for; put() notifies only the waiter whose key
-// matches the arriving message.  This kills the thundering-herd
-// wakeups the old single condition_variable caused during tree folds
-// and broadcasts on large processor counts.  Two waiter flavours plug
-// into the same list: the blocking get() below parks on a per-call
+// Receivers that find no match register a Waiter carrying the key they
+// wait for; put() notifies only the waiter whose key matches the
+// arriving message.  This kills the thundering-herd wakeups the old
+// single condition_variable caused during tree folds and broadcasts on
+// large processor counts.  Two waiter flavours plug into the same
+// list: the blocking get() below parks on a per-call
 // condition_variable (the `threads` engine), and the pooled engine's
 // fibers park on the executor's scheduler (see parix/executor.h).
 //
@@ -20,11 +22,9 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "parix/message.h"
@@ -76,31 +76,18 @@ class Mailbox {
   std::size_t pending() const;
 
  private:
-  struct Key {
-    int src;
-    long tag;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      // splitmix-style mix of the two fields; tags are sparse (the
-      // collective tag space starts at 2^40) so mixing matters.
-      std::uint64_t x = static_cast<std::uint64_t>(k.tag) * 0x9E3779B97F4A7C15u;
-      x ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.src)) +
-           (x >> 29);
-      return static_cast<std::size_t>(x ^ (x >> 32));
-    }
-  };
-
-  /// Pops the front of the (src, tag) bucket, erasing emptied buckets
-  /// so monotonically growing tag spaces do not accumulate tombstones.
-  /// Requires the lock; returns nullopt when nothing matches.
+  /// Takes the oldest queued message from `src` under `tag`, closing
+  /// the gap by moving the messages that arrived before it one slot
+  /// towards the tail.  Requires the lock; returns nullopt when nothing
+  /// matches.
   std::optional<Message> pop_match(int src, long tag);
 
   mutable std::mutex mutex_;
-  std::unordered_map<Key, std::deque<Message>, KeyHash> buckets_;
+  /// Arrival order; queue_[head_, size) are queued, the slots before
+  /// head_ were taken and are reclaimed by put().
+  std::vector<Message> queue_;
+  std::size_t head_ = 0;
   std::vector<Waiter*> waiters_;
-  std::size_t pending_ = 0;
   bool poisoned_ = false;
   std::string poison_reason_;
 };

@@ -6,12 +6,14 @@
 // The payload size in "wire bytes" is computed by the payload_bytes
 // customisation point below so the cost model can price the transfer.
 //
-// Large payloads can also travel as *shared buffers*
-// (make_shared_message): sender and message reference one immutable
-// vector, so posting a send does not copy the data.  The receiver
-// copies the buffer out (see take_payload for why it must not move) --
-// the modeled wire cost is unchanged either way (the 1996 machine did
-// copy into send buffers; only the sender-side host copy disappears).
+// Payloads can also travel as *shared buffers* (make_shared_message):
+// sender and message reference one immutable value, so posting a send
+// does not copy the data.  The receiver either copies the value out
+// (take_payload; see there for why it must not move) or keeps the
+// buffer itself (Proc::recv_buffer), so a tree broadcast forwards one
+// buffer on every edge.  The modeled wire cost is unchanged either way
+// (the 1996 machine did copy into send buffers; only host copies
+// disappear).
 #pragma once
 
 #include <concepts>
@@ -138,8 +140,8 @@ Message make_shared_message(int src, long tag, std::shared_ptr<const T> value,
   msg.bytes = payload_bytes(*value);
   msg.type = &typeid(T);
   // The buffer is never mutated through this pointer (take_payload
-  // copies shared buffers), so shedding the const for type-erased
-  // storage is safe.
+  // copies shared buffers, Proc::recv_buffer hands them back const),
+  // so shedding the const for type-erased storage is safe.
   msg.payload = std::const_pointer_cast<T>(std::move(value));
   msg.arrival_vtime = arrival_vtime;
   msg.shared = true;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "parix/charge_tape.h"
@@ -150,18 +151,17 @@ class Proc {
 
   /// Sends a shared immutable buffer without copying the payload: the
   /// message references the caller's buffer, which the caller keeps
-  /// reading while the message is in flight.  The receiver's
-  /// recv<std::vector<T>> matches it like any other vector message.
-  /// Host-side only the copy disappears; whatever send-buffer copy the
-  /// modeled 1996 machine performed must still be charged by the
-  /// caller (see skeleton_gen_mult.h).
+  /// reading while the message is in flight.  The receiver's recv<T>
+  /// matches it like any other T message.  Host-side only the copy
+  /// disappears; whatever send-buffer copy the modeled 1996 machine
+  /// performed must still be charged by the caller (see
+  /// skeleton_gen_mult.h).
   template <class T>
-  void send_buffer(int dst, long tag,
-                   std::shared_ptr<const std::vector<T>> buf, SendMode mode) {
+  void send_buffer(int dst, long tag, std::shared_ptr<const T> buf,
+                   SendMode mode) {
     SKIL_ASSERT(dst >= 0 && dst < nprocs_, "send: bad destination " +
                                                std::to_string(dst));
-    dispatch(make_shared_message<std::vector<T>>(id_, tag, std::move(buf), 0.0),
-             dst, mode);
+    dispatch(make_shared_message<T>(id_, tag, std::move(buf), 0.0), dst, mode);
   }
 
   /// Receives a value of type T from `src` under `tag`.  The virtual
@@ -169,36 +169,18 @@ class Proc {
   /// the message's delivery time (CostModel::time_recv).
   template <class T>
   T recv(int src, long tag) {
-    SKIL_ASSERT(src >= 0 && src < nprocs_,
-                "recv: bad source " + std::to_string(src));
-    Message msg = machine_->blocking_get(id_, src, tag);
-    SKIL_ASSERT(msg.type != nullptr && *msg.type == typeid(T),
-                std::string("recv: payload type mismatch for tag ") +
-                    std::to_string(tag));
-    // The receive timing observes the clock.
-    maybe_settle();
-    const RecvTimes t =
-        cost().time_recv(links_, vtime_, msg.bytes, msg.arrival_vtime);
-    if (trace_ != nullptr) [[unlikely]] {
-      if (trace_->full()) {
-        // Which constraint bound `ready` is the causal edge the
-        // critical-path analyzer follows; ties prefer the local clock,
-        // then the arrival (a tie means both paths are critical --
-        // either choice yields a maximal chain).
-        const RecvBound bound =
-            vtime_ + cost().recv_overhead_us >= t.delivered
-                ? RecvBound::kLocal
-            : msg.arrival_vtime >= t.queued ? RecvBound::kArrival
-                                            : RecvBound::kChannel;
-        trace_->record_recv(vtime_, t.ready, src, tag, msg.bytes,
-                            msg.trace_seq, bound);
-      }
-    }
-    stats_.comm_us += t.ready - vtime_;
-    vtime_ = t.ready;
-    stats_.messages_received += 1;
-    stats_.bytes_received += msg.bytes;
+    Message msg = receive(src, tag, typeid(T));
     return take_payload<T>(msg);
+  }
+
+  /// The mirror of send_buffer: receives like recv<T>, but hands back
+  /// the message's payload itself, shared and immutable, instead of
+  /// extracting a copy.  A shared buffer's other owners may be reading
+  /// it still, so it must never be written through.
+  template <class T>
+  std::shared_ptr<const T> recv_buffer(int src, long tag) {
+    Message msg = receive(src, tag, typeid(T));
+    return std::static_pointer_cast<const T>(std::move(msg.payload));
   }
 
   /// Allocates a fresh tag from the collective tag space.  SPMD
@@ -334,6 +316,42 @@ class Proc {
     stats_.messages_sent += 1;
     stats_.bytes_sent += msg.bytes;
     machine_->mailbox(dst).put(std::move(msg));
+  }
+
+  /// Takes the matching message and books its receive: the timing
+  /// (CostModel::time_recv), trace event and accounting shared by every
+  /// receive flavour.
+  Message receive(int src, long tag, const std::type_info& type) {
+    SKIL_ASSERT(src >= 0 && src < nprocs_,
+                "recv: bad source " + std::to_string(src));
+    Message msg = machine_->blocking_get(id_, src, tag);
+    SKIL_ASSERT(msg.type != nullptr && *msg.type == type,
+                std::string("recv: payload type mismatch for tag ") +
+                    std::to_string(tag));
+    // The receive timing observes the clock.
+    maybe_settle();
+    const RecvTimes t =
+        cost().time_recv(links_, vtime_, msg.bytes, msg.arrival_vtime);
+    if (trace_ != nullptr) [[unlikely]] {
+      if (trace_->full()) {
+        // Which constraint bound `ready` is the causal edge the
+        // critical-path analyzer follows; ties prefer the local clock,
+        // then the arrival (a tie means both paths are critical --
+        // either choice yields a maximal chain).
+        const RecvBound bound =
+            vtime_ + cost().recv_overhead_us >= t.delivered
+                ? RecvBound::kLocal
+            : msg.arrival_vtime >= t.queued ? RecvBound::kArrival
+                                            : RecvBound::kChannel;
+        trace_->record_recv(vtime_, t.ready, src, tag, msg.bytes,
+                            msg.trace_seq, bound);
+      }
+    }
+    stats_.comm_us += t.ready - vtime_;
+    vtime_ = t.ready;
+    stats_.messages_received += 1;
+    stats_.bytes_received += msg.bytes;
+    return msg;
   }
 
   Machine* machine_;

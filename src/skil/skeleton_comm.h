@@ -52,20 +52,17 @@ void array_broadcast_part(DistArray<T>& a, Index ix) {
                "array_broadcast_part: partitions must have equal size");
   const parix::TraceSpan span(a.proc(), "array_broadcast_part");
   const int root_hw = a.dist().owner_hw(ix);
-  std::vector<T> part;
-  if (a.proc().id() == root_hw) part = a.local();
   // Partitions are uniform (REQUIREd above), so every processor can
-  // hand the collective the same payload-size hint.  SKIL_COLL=ring
-  // always chunk-pipelines it; auto does so only for partitions large
-  // enough that the ring's per-call gap is no worse than the tree's.
-  parix::broadcast(a.proc(), a.topology(), root_hw, part,
-                   a.local().size() * sizeof(T));
-  if (a.proc().id() != root_hw) {
-    SKIL_ASSERT(part.size() == a.local().size(),
-                "array_broadcast_part: partition size mismatch");
-    a.local() = std::move(part);
-  }
-  a.proc().charge(parix::Op::kCopyWord, copy_words<T>(a.local().size()));
+  // hand the collective the same payload-size hint, and the broadcast
+  // lands straight in each partition's storage.  SKIL_COLL=ring always
+  // chunk-pipelines it; auto does so only for partitions large enough
+  // that the ring's per-call gap is no worse than the tree's.
+  const std::size_t size = a.local().size();
+  parix::broadcast(a.proc(), a.topology(), root_hw, a.local(),
+                   size * sizeof(T));
+  SKIL_ASSERT(a.local().size() == size,
+              "array_broadcast_part: partition size mismatch");
+  a.proc().charge(parix::Op::kCopyWord, copy_words<T>(size));
 }
 
 /// Permutes the rows of the 2-D array `from` into `to` using the

@@ -165,8 +165,8 @@ std::pair<std::vector<T>, std::vector<T>> gen_mult_rounds(
     // proceed while the processor computes.
     const long tag = proc.fresh_tag();
     if (rotating) {
-      proc.send_buffer<T>(a_dst, tag, a_buf, parix::SendMode::kAsync);
-      proc.send_buffer<T>(b_dst, tag + 1, b_buf, parix::SendMode::kAsync);
+      proc.send_buffer(a_dst, tag, a_buf, parix::SendMode::kAsync);
+      proc.send_buffer(b_dst, tag + 1, b_buf, parix::SendMode::kAsync);
       if (!taped) proc.charge_elems(parix::Op::kCopyWord, block_words, 2);
     }
 

@@ -1,7 +1,9 @@
 // Tests for the collective operations over every topology kind.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "parix/collectives.h"
@@ -150,6 +152,69 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::to_string(info.param.nprocs);
       name += "_";
       name += std::string(distr_name(info.param.distr)).substr(6);
+      return name;
+    });
+
+/// p and engine of the vector broadcasts below.
+struct EngineCase {
+  int p;
+  ExecutionEngine engine;
+};
+
+class BroadcastInto : public ::testing::TestWithParam<EngineCase> {};
+
+TEST_P(BroadcastInto, NonRootVectorsOfAnyLengthEndAsTheRootsContent) {
+  const auto [p, engine] = GetParam();
+  RunConfig config{p, CostModel::t800()};
+  config.engine = engine;
+  config.coll = CollMode::kTree;
+  spmd_run(config, [p](Proc& proc) {
+    const Topology topo(proc.machine(), Distr::kDefault);
+    for (int root = 0; root < p; ++root) {
+      std::vector<double> content(6 + static_cast<std::size_t>(root % 4));
+      for (std::size_t j = 0; j < content.size(); ++j)
+        content[j] = (root + 1.0) / static_cast<double>(j + 3);
+      // Both broadcast overloads; non-root vectors start empty,
+      // shorter or longer than the root's.
+      for (const bool hinted : {false, true}) {
+        std::vector<double> v = content;
+        if (proc.id() != root)
+          v.assign(std::vector<std::size_t>{0, 2, 40}[proc.id() % 3], -1.5);
+        const double* root_storage = v.data();
+        if (hinted)
+          broadcast(proc, topo, root, v, content.size() * sizeof(double));
+        else
+          broadcast(proc, topo, root, v);
+        ASSERT_EQ(v.size(), content.size()) << "root " << root;
+        EXPECT_EQ(std::memcmp(v.data(), content.data(),
+                              content.size() * sizeof(double)),
+                  0)
+            << "root " << root << (hinted ? ", hinted" : "");
+        if (proc.id() == root) {
+          EXPECT_EQ(v.data(), root_storage);
+        }
+      }
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PerEngine, BroadcastInto,
+    ::testing::Values(EngineCase{2, ExecutionEngine::kThreads},
+                      EngineCase{3, ExecutionEngine::kThreads},
+                      EngineCase{5, ExecutionEngine::kThreads},
+                      EngineCase{8, ExecutionEngine::kThreads},
+                      EngineCase{64, ExecutionEngine::kThreads},
+                      EngineCase{2, ExecutionEngine::kPooled},
+                      EngineCase{3, ExecutionEngine::kPooled},
+                      EngineCase{5, ExecutionEngine::kPooled},
+                      EngineCase{8, ExecutionEngine::kPooled},
+                      EngineCase{64, ExecutionEngine::kPooled}),
+    [](const ::testing::TestParamInfo<EngineCase>& info) {
+      std::string name = "p";
+      name += std::to_string(info.param.p);
+      name += info.param.engine == ExecutionEngine::kThreads ? "_threads"
+                                                             : "_pooled";
       return name;
     });
 

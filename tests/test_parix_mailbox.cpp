@@ -1,7 +1,10 @@
 // Direct tests of the mailbox, message payloads and failure paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,6 +83,69 @@ TEST(Mailbox, FifoPerSourceAndTag) {
     Message m = box.get(0, 9);
     EXPECT_EQ(take_payload<int>(m), i);
   }
+}
+
+TEST(Mailbox, FlatQueueKeepsPerKeyOrderUnderMixedTakes) {
+  // Hundreds of messages over 3 sources x 4 tags, interleaved, taken
+  // key by key while more arrive.  A model of the queue in arrival
+  // order says where each take finds its match: at the head, or
+  // further in, which moves the messages before it.
+  constexpr int kTags = 4;
+  constexpr int kKeys = 3 * kTags;
+  const auto src_of = [](int key) { return key / kTags; };
+  const auto tag_of = [](int key) { return 100L + key % kTags; };
+  Mailbox box;
+  std::vector<int> model;  // the key of every queued message, oldest first
+  std::array<int, kKeys> sent{};
+  std::array<int, kKeys> taken{};
+  int head_takes = 0;
+  int middle_takes = 0;
+  std::uint64_t state = 20261019;
+  const auto next = [&state](int bound) {
+    state = state * 6364136223846793005u + 1442695040888963407u;
+    return static_cast<int>((state >> 33) % static_cast<std::uint64_t>(bound));
+  };
+  const auto put = [&](int key) {
+    box.put(make_message<int>(src_of(key), tag_of(key), sent[key]++, 0.0));
+    model.push_back(key);
+  };
+  const auto take = [&](int key) {
+    const auto pos = std::find(model.begin(), model.end(), key);
+    ASSERT_NE(pos, model.end());
+    ++(pos == model.begin() ? head_takes : middle_takes);
+    model.erase(pos);
+    Message m = box.get(src_of(key), tag_of(key), std::chrono::seconds(1));
+    EXPECT_EQ(m.src, src_of(key));
+    EXPECT_EQ(m.tag, tag_of(key));
+    EXPECT_EQ(take_payload<int>(m), taken[key]++) << "key " << key;
+  };
+
+  for (int i = 0; i < 300; ++i) put(next(kKeys));
+  EXPECT_EQ(box.pending(), model.size());
+  // Take the oldest message or any key's, putting 0-2 more between
+  // takes, until the queue has turned over several times.
+  for (int step = 0; step < 900 && !model.empty(); ++step) {
+    take(next(2) == 0 ? model.front() : model[next(static_cast<int>(model.size()))]);
+    for (int more = next(3); more > 0; --more) put(next(kKeys));
+    ASSERT_EQ(box.pending(), model.size()) << "after step " << step;
+  }
+  // Drain key by key from the last key down: mostly middle takes.
+  for (int key = kKeys - 1; key >= 0; --key) {
+    while (std::find(model.begin(), model.end(), key) != model.end()) {
+      take(key);
+      ASSERT_EQ(box.pending(), model.size());
+    }
+  }
+  EXPECT_EQ(box.pending(), 0u);
+  EXPECT_GT(head_takes, 100);
+  EXPECT_GT(middle_takes, 100);
+  for (int key = 0; key < kKeys; ++key) EXPECT_EQ(taken[key], sent[key]);
+  // The emptied queue still delivers.
+  put(5);
+  put(1);
+  take(1);
+  take(5);
+  EXPECT_EQ(box.pending(), 0u);
 }
 
 TEST(Mailbox, GetTimesOutWhenNothingMatches) {

@@ -1,6 +1,10 @@
 // Tests for array_broadcast_part and array_permute_rows.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "parix/runtime.h"
@@ -59,6 +63,65 @@ TEST(BroadcastPart, RequiresUniformPartitions) {
     EXPECT_THROW(array_broadcast_part(a, Index{0}), ContractError);
   });
 }
+
+/// p and engine of the storage-reuse broadcasts below.
+struct ReuseCase {
+  int p;
+  parix::ExecutionEngine engine;
+};
+
+std::string reuse_case_name(const ::testing::TestParamInfo<ReuseCase>& info) {
+  std::string name = "p";
+  name += std::to_string(info.param.p);
+  name += info.param.engine == parix::ExecutionEngine::kThreads ? "_threads"
+                                                                 : "_pooled";
+  return name;
+}
+
+class BroadcastPartReuse : public ::testing::TestWithParam<ReuseCase> {};
+
+TEST_P(BroadcastPartReuse, EveryPartitionKeepsItsStorageAndGetsTheRootsBits) {
+  const auto [p, engine] = GetParam();
+  RunConfig config{p, CostModel::t800()};
+  config.engine = engine;
+  config.coll = parix::CollMode::kTree;
+  parix::spmd_run(config, [p](Proc& proc) {
+    constexpr int kWidth = 9;
+    const auto value = [](int row, int col) {
+      return std::ldexp(row + 1.0, -col) / 3.0;
+    };
+    auto piv = array_create<double>(
+        proc, 2, Size{p, kWidth}, Size{1, kWidth}, Index{-1, -1},
+        [&](Index ix) { return value(ix[0], ix[1]); }, Distr::kDefault);
+    const int my_row = piv.part_bounds().lower[0];
+    for (int root_row = 0; root_row < p; ++root_row) {
+      std::vector<double>& part = piv.local();
+      for (int j = 0; j < kWidth; ++j) part[j] = value(my_row, j);
+      const double* storage = part.data();
+      array_broadcast_part(piv, Index{root_row, 0});
+      EXPECT_EQ(piv.local().data(), storage) << "root row " << root_row;
+      ASSERT_EQ(piv.local().size(), static_cast<std::size_t>(kWidth));
+      for (int j = 0; j < kWidth; ++j)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(piv.local()[j]),
+                  std::bit_cast<std::uint64_t>(value(root_row, j)))
+            << "root row " << root_row << ", column " << j;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PerEngine, BroadcastPartReuse,
+    ::testing::Values(ReuseCase{2, parix::ExecutionEngine::kThreads},
+                      ReuseCase{3, parix::ExecutionEngine::kThreads},
+                      ReuseCase{5, parix::ExecutionEngine::kThreads},
+                      ReuseCase{8, parix::ExecutionEngine::kThreads},
+                      ReuseCase{64, parix::ExecutionEngine::kThreads},
+                      ReuseCase{2, parix::ExecutionEngine::kPooled},
+                      ReuseCase{3, parix::ExecutionEngine::kPooled},
+                      ReuseCase{5, parix::ExecutionEngine::kPooled},
+                      ReuseCase{8, parix::ExecutionEngine::kPooled},
+                      ReuseCase{64, parix::ExecutionEngine::kPooled}),
+    reuse_case_name);
 
 struct PermCase {
   int p;
