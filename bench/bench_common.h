@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -26,10 +27,15 @@ namespace skil::bench {
 
 /// Parses a bench command line, keeping every failure inside the
 /// program: `--help` prints the accepted flags and exits 0, an unknown
-/// flag is named and exits 2, and a missing or unwritable `--out-dir`
-/// exits 2 before any work starts.
+/// flag is named and exits 2, and a missing or unwritable `--out-dir`,
+/// or an artefact path (`--csv=path`, `--json=path`, ...) whose
+/// directory is missing or not writable, exits 2 before any work
+/// starts.  `dir_flag`, if given, names a flag whose value is a
+/// directory the bench writes into: it is made first (like mkdir -p),
+/// so the other artefact paths may point into it.
 inline support::Cli parse_cli(int argc, char** argv,
-                              std::vector<std::string> allowed) {
+                              std::vector<std::string> allowed,
+                              const std::string& dir_flag = "") {
   const std::string program = support::program_name(argc > 0 ? argv[0] : "");
   const auto usage = [&](std::FILE* to) {
     std::fprintf(to, "usage: %s [--flag[=value] ...]\naccepted flags:",
@@ -60,6 +66,34 @@ inline support::Cli parse_cli(int argc, char** argv,
                  "%s: output directory '%s' is missing or not writable\n",
                  program.c_str(), dir.c_str());
     std::exit(2);
+  }
+  if (!dir_flag.empty() && cli.has(dir_flag)) {
+    const std::string made = cli.get(dir_flag, ".");
+    std::error_code error;
+    std::filesystem::create_directories(made, error);
+    if (error) {
+      std::fprintf(stderr, "%s: cannot create --%s=%s: %s\n",
+                   program.c_str(), dir_flag.c_str(), made.c_str(),
+                   error.message().c_str());
+      std::exit(2);
+    }
+  }
+  for (const char* flag :
+       {"csv", "coll-csv", "json", "metrics-out", "trace-out"}) {
+    const std::string path = cli.get(flag, "true");
+    // Absent or bare: the file lands in --out-dir.
+    if (path == "true" || flag == dir_flag) continue;
+    const std::size_t slash = path.rfind('/');
+    const std::string parent = slash == std::string::npos ? "."
+                               : slash == 0               ? "/"
+                                                          : path.substr(0, slash);
+    if (::access(parent.c_str(), W_OK | X_OK) != 0) {
+      std::fprintf(stderr,
+                   "%s: cannot write --%s=%s: directory '%s' is missing or "
+                   "not writable\n",
+                   program.c_str(), flag, path.c_str(), parent.c_str());
+      std::exit(2);
+    }
   }
   return cli;
 }
@@ -132,33 +166,40 @@ auto traced_rerun(Fn&& fn) {
   return result;
 }
 
+/// Writes one artefact file through `emit(std::ostream&)` and reports
+/// it; a file that cannot be opened or written exits 2 naming it.
+template <typename Fn>
+void write_artifact(const support::Cli& cli, const std::string& path,
+                    Fn&& emit) {
+  std::ofstream os(path);
+  if (os.good()) {
+    emit(os);
+    os.close();
+  }
+  if (!os.good()) {
+    std::fprintf(stderr, "%s: cannot write '%s'\n",
+                 support::program_name(cli.program()).c_str(), path.c_str());
+    std::exit(2);
+  }
+  std::printf("wrote %s\n", path.c_str());
+}
+
 /// Writes the Chrome trace (--trace-out) and/or metrics JSON
 /// (--metrics-out) for a completed traced run.  An explicit flag value
 /// is a verbatim file path; a bare flag puts the default name in
-/// --out-dir via out_path.  The Chrome export merges the
-/// SKIL_PROF=sampled host timeline (RunResult::prof) when the run
-/// carried one.
+/// --out-dir via out_path.
 inline void write_run_artifacts(const support::Cli& cli,
                                 const parix::RunResult& run,
                                 const std::string& stem) {
-  if (cli.has("trace-out") && run.trace != nullptr) {
-    const std::string path = out_path(cli, "trace-out",
-                                      "trace_" + stem + ".json");
-    std::ofstream os(path);
-    SKIL_ASSERT(os.good(), "cannot open trace output file: " + path);
-    parix::write_chrome_trace(*run.trace, run.prof.get(), os);
-    SKIL_ASSERT(os.good(), "failed writing trace output file: " + path);
-    std::printf("wrote %s\n", path.c_str());
-  }
-  if (cli.has("metrics-out")) {
-    const std::string path = out_path(cli, "metrics-out",
-                                      "metrics_" + stem + ".json");
-    std::ofstream os(path);
-    SKIL_ASSERT(os.good(), "cannot open metrics output file: " + path);
-    parix::write_metrics_json(run, os);
-    SKIL_ASSERT(os.good(), "failed writing metrics output file: " + path);
-    std::printf("wrote %s\n", path.c_str());
-  }
+  if (cli.has("trace-out") && run.trace != nullptr)
+    write_artifact(cli, out_path(cli, "trace-out", "trace_" + stem + ".json"),
+                   [&](std::ostream& os) {
+                     parix::write_chrome_trace(*run.trace, os);
+                   });
+  if (cli.has("metrics-out"))
+    write_artifact(cli,
+                   out_path(cli, "metrics-out", "metrics_" + stem + ".json"),
+                   [&](std::ostream& os) { parix::write_metrics_json(run, os); });
 }
 
 /// Prints a section header.

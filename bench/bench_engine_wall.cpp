@@ -10,7 +10,7 @@
 //                          [--baseline=secs] [--baseline-note=text]
 //                          [--reps=N] [--jobs=N|auto]
 //                          [--carriers=N|auto] [--charge=interp|tape]
-//                          [--fuse=off|on] [--prof=off|counters|sampled]
+//                          [--fuse=off|on] [--prof=off|counters]
 //                          [--coll=tree|ring|rd|auto]
 //                          [--engine=threads|pooled|both] [--trace-out=dir]
 //
@@ -32,11 +32,11 @@
 // one-pass compositions, which lowers the *virtual* times too (the
 // fused schedule is the artefact; see EXPERIMENTS.md W6 for the
 // same-build off/on A/B methodology).
-// --prof selects the host scheduler profiler (prof.h; default: the
-// process default, i.e. SKIL_PROF or off) -- profiling reads host
-// clocks and counters only, so the *virtual* times stay bit-identical
-// in every mode; the wall times include the (small) profiling
-// overhead, which EXPERIMENTS.md W7 quantifies.
+// --prof selects the host scheduler counters (prof.h; default: the
+// process default, i.e. SKIL_PROF or off) -- they read host clocks and
+// counters only, so the *virtual* times stay bit-identical in both
+// modes; the wall times include the (small) counting overhead, which
+// EXPERIMENTS.md W7 quantifies.
 // --coll selects the collective-algorithm family (parix/coll.h;
 // default: the process default, i.e. SKIL_COLL or auto) -- like
 // --fuse this legitimately moves the *virtual* times (the non-tree
@@ -45,10 +45,11 @@
 // same-build tree/auto A/B.
 // --trace-out runs one representative cell again under full tracing
 // (after the timed sweep, so the timings stay untraced) and writes its
-// Chrome trace + metrics JSON (parix/metrics.h) into the directory;
-// under --prof=sampled the trace also carries the host carrier lanes.
+// Chrome trace + metrics JSON (parix/metrics.h) into the directory,
+// which is made before the sweep.  A path that cannot be written
+// exits 2 naming it.
 //
-// The JSON report (default BENCH_engine.json, schema_version 9)
+// The JSON report (default BENCH_engine.json, schema_version 10)
 // records the run configuration (reps, jobs, nproc, charge path,
 // fuse, prof and coll modes) and per-cell wall seconds + virtual
 // times alongside both engines' totals, so EXPERIMENTS.md can cite the
@@ -63,6 +64,10 @@
 // reads as a slowdown unless the provenance travels with it.
 //
 // Schema history:
+//   v10: nothing pools rotation buffers any more (the gen_mult
+//       rotations forward the buffer they receive), so the scheduler
+//       block drops its four buffer-pool fields: pool_acquires,
+//       pool_hits, pool_misses and pool_bytes.
 //   v9: one settlement path (the closed-form walk) is left, so the
 //       record drops "settle" and everything the retired batched
 //       settlement kernel reported: three settle counters (its parks,
@@ -110,8 +115,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,7 +154,8 @@ int main(int argc, char** argv) {
       parse_cli(argc, argv, {"quick", "json", "out-dir", "baseline",
                              "baseline-note", "reps", "jobs", "carriers",
                              "charge", "fuse", "prof", "coll", "engine",
-                             "trace-out"});
+                             "trace-out"},
+                /*dir_flag=*/"trace-out");
   const bool quick = cli.get_bool("quick");
   const double baseline_s = std::atof(cli.get("baseline", "0").c_str());
   const std::string baseline_note = cli.get("baseline-note", "unspecified");
@@ -325,8 +329,6 @@ int main(int argc, char** argv) {
   std::string trace_path, metrics_path;
   int trace_p = 0, trace_n = 0;
   if (cli.has("trace-out")) {
-    const std::string dir = cli.get("trace-out", ".");
-    std::filesystem::create_directories(dir);
     trace_p = quick ? 4 : 16;
     trace_n = quick ? 64 : 128;
     const parix::TraceMode saved_trace = parix::default_trace_mode();
@@ -336,20 +338,15 @@ int main(int argc, char** argv) {
     parix::set_default_trace_mode(saved_trace);
     const std::string cell = "gauss_p" + std::to_string(trace_p) + "_n" +
                              std::to_string(trace_n);
+    const std::string dir = cli.get("trace-out", ".");
     trace_path = dir + "/trace_" + cell + ".json";
     metrics_path = dir + "/metrics_" + cell + ".json";
-    {
-      // Under --prof=sampled the run carries a host timeline; the
-      // merged export shows carrier lanes next to the virtual ones.
-      std::ofstream os(trace_path);
-      parix::write_chrome_trace(*traced.run.trace, traced.run.prof.get(), os);
-    }
-    {
-      std::ofstream os(metrics_path);
+    write_artifact(cli, trace_path, [&](std::ostream& os) {
+      parix::write_chrome_trace(*traced.run.trace, os);
+    });
+    write_artifact(cli, metrics_path, [&](std::ostream& os) {
       parix::write_metrics_json(traced.run, os);
-    }
-    std::printf("wrote %s\nwrote %s\n", trace_path.c_str(),
-                metrics_path.c_str());
+    });
   }
 
   const double speedup =
@@ -365,7 +362,7 @@ int main(int argc, char** argv) {
   if (FILE* out = std::fopen(path.c_str(), "w")) {
     std::fprintf(out,
                  "{\n"
-                 "  \"schema_version\": 9,\n"
+                 "  \"schema_version\": 10,\n"
                  "  \"benchmark\": \"bench_engine_wall\",\n"
                  "  \"grid\": \"table2_gauss%s\",\n"
                  "  \"reps\": %d,\n"
@@ -471,6 +468,10 @@ int main(int argc, char** argv) {
                  identical ? "true" : "false");
     std::fclose(out);
     std::printf("wrote %s\n", path.c_str());
+  } else {
+    std::fprintf(stderr, "bench_engine_wall: cannot write '%s'\n",
+                 path.c_str());
+    return 2;
   }
   return identical ? 0 : 1;
 }

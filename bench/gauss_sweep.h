@@ -59,7 +59,7 @@ struct SweepSettleTotals {
 };
 
 /// Sums the host scheduler counters of a finished grid (prof.h) --
-/// all zero unless the sweep ran under SKIL_PROF=counters|sampled.
+/// all zero unless the sweep ran under SKIL_PROF=counters.
 inline parix::SchedulerTotals sum_sched_totals(
     const std::vector<GaussCell>& cells) {
   parix::SchedulerTotals t;
@@ -201,7 +201,7 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
     double d[4];
     std::uint64_t u[3 + std::size(parix::SettleCounters::kFields) +
                     std::size(parix::FusionCounters::kFields) +
-                    parix::SchedulerTotals::kCount +
+                    std::size(parix::SchedulerTotals::kFields) +
                     // coll: calls per (op, algo); bytes, hops and steps
                     // per op; order_fallbacks
                     (parix::kNumCollAlgos + 3) * parix::kNumCollOps + 1];

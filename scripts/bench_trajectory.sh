@@ -4,14 +4,14 @@
 # Builds (if needed) and runs bench_engine_wall on the Table-2 sweep
 # under both execution engines, then appends the result as one compact
 # JSON record per line to BENCH_engine.json at the repo root.  Records
-# are schema_version 9: run config (reps, resolved jobs, carriers,
+# are schema_version 10: run config (reps, resolved jobs, carriers,
 # nproc, charge path, fuse mode, prof mode, coll mode), per-cell wall
 # seconds and virtual times per engine, every repetition's wall time
 # ("rep_wall_seconds") plus its median, the settlement counters
 # (closed-form coverage), the fusion counters (compositions seen /
 # fused / rejected, barriers and tape passes eliminated), the
 # collective counters, the scheduler totals when profiled
-# (--prof=counters|sampled: fibers, steals, parks, pool hits), and the
+# (--prof=counters: fibers, steals, parks, run time), and the
 # engine totals; with --trace-out the record also names the exported
 # trace/metrics files.  scripts/validate_bench_json.py checks the
 # whole trajectory after every append.
@@ -42,7 +42,7 @@
 #                                    [--carriers=N|auto]
 #                                    [--charge=interp|tape]
 #                                    [--fuse=off|on]
-#                                    [--prof=off|counters|sampled]
+#                                    [--prof=off|counters]
 #                                    [--coll=tree|ring|rd|auto]
 #                                    [--engine=threads|pooled|both]
 #                                    [--baseline=secs]

@@ -34,6 +34,7 @@ FIELDS_BY_VERSION = {
                     # (checked below)
     8: ["coll"],    # also per-engine coll_counters (checked below)
     9: [],          # dropped "settle" and the retired fields below
+    10: [],         # dropped the scheduler's buffer-pool fields
 }
 MAX_KNOWN_VERSION = max(FIELDS_BY_VERSION)
 
@@ -77,9 +78,13 @@ COLL_OP_FIELDS = ["calls", "bytes", "hops", "steps"]
 # report indistinguishable from an unprofiled build's.
 SCHEDULER_FIELDS = [
     "fibers_run", "fibers_resumed", "steal_attempts", "steal_successes",
-    "steal_failed_rounds", "parks", "unparks", "run_ns", "pool_acquires",
-    "pool_hits", "pool_misses", "pool_bytes",
+    "steal_failed_rounds", "parks", "unparks", "run_ns",
 ]
+
+# v7-v9 profiled records also carry the buffer-pool ledger that v10
+# retired with the pool itself.
+RETIRED_POOL_FIELDS = ["pool_acquires", "pool_hits", "pool_misses",
+                       "pool_bytes"]
 
 
 def fail(path, lineno, message):
@@ -201,12 +206,14 @@ def validate_record(path, lineno, record):
                     fail(path, lineno,
                          "v7+ profiled engine record is missing "
                          "'scheduler'")
-                for field in SCHEDULER_FIELDS:
+                pool_fields = RETIRED_POOL_FIELDS if version <= 9 else []
+                for field in SCHEDULER_FIELDS + pool_fields:
                     if field not in sched:
                         fail(path, lineno,
-                             f"v7+ scheduler is missing '{field}'")
+                             f"v{version} scheduler is missing '{field}'")
                 if version <= 8 and len(sched) < \
-                        len(SCHEDULER_FIELDS) + RETIRED_SCHEDULER_FIELDS:
+                        len(SCHEDULER_FIELDS) + len(pool_fields) + \
+                        RETIRED_SCHEDULER_FIELDS:
                     fail(path, lineno,
                          "v7-v8 scheduler is missing the retired "
                          "batched-settlement fields")
@@ -216,8 +223,8 @@ def validate_record(path, lineno, record):
                     fail(path, lineno,
                          "scheduler reports more steal successes than "
                          "attempts")
-                if sched["pool_hits"] + sched["pool_misses"] \
-                        != sched["pool_acquires"]:
+                if pool_fields and sched["pool_hits"] + \
+                        sched["pool_misses"] != sched["pool_acquires"]:
                     fail(path, lineno,
                          "scheduler pool hits + misses != acquires")
     if version >= 5 and "baseline_wall_seconds" in record \

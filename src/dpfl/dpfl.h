@@ -3,7 +3,6 @@
 
 #include "dpfl/farray.h"
 #include "dpfl/fn.h"
-#include "dpfl/fusion.h"
 
 namespace skil::dpfl {
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "dpfl/fn.h"
-#include "parix/buffer_pool.h"
 #include "parix/charge_tape.h"
 #include "parix/collectives.h"
 #include "parix/proc.h"
@@ -459,16 +458,14 @@ FArray<T> fa_gen_mult_impl(const FArray<T>& a, const FArray<T>& b,
     return proc.recv<std::vector<T>>(src, tag);
   };
 
-  // Rotation payloads travel as shared zero-copy buffers: a round's
-  // send references the same block the multiply loop reads, so the
-  // host no longer copies q blocks per processor.  The process-wide
-  // pool recycles the vector nodes once the receiving side has
-  // drained them, and keeps them warm across sweep cells.
-  parix::BufferPool<T>& pool = parix::process_buffer_pool<T>();
+  // The skewed blocks are wrapped once and then circulate the torus as
+  // shared immutable buffers: a round sends the block the multiply loop
+  // reads and keeps the one it receives, so the host copies and
+  // allocates nothing per round; the last reader frees a buffer.
   std::shared_ptr<const std::vector<T>> a_buf =
-      pool.share(rotate(a.local(), 0, -my_row));
+      std::make_shared<const std::vector<T>>(rotate(a.local(), 0, -my_row));
   std::shared_ptr<const std::vector<T>> b_buf =
-      pool.share(rotate(b.local(), -my_col, 0));
+      std::make_shared<const std::vector<T>>(rotate(b.local(), -my_col, 0));
 
   const int a_dst = topo.torus_neighbor(proc.id(), 0, -1);
   const int a_src = topo.torus_neighbor(proc.id(), 0, +1);
@@ -524,8 +521,8 @@ FArray<T> fa_gen_mult_impl(const FArray<T>& a, const FArray<T>& b,
     if (round == 0 || !proc.fusing())
       proc.charge(parix::Op::kAlloc, c_block.size());
     if (rotating) {
-      a_buf = pool.share(proc.recv<std::vector<T>>(a_src, tag));
-      b_buf = pool.share(proc.recv<std::vector<T>>(b_src, tag + 1));
+      a_buf = proc.recv_buffer<std::vector<T>>(a_src, tag);
+      b_buf = proc.recv_buffer<std::vector<T>>(b_src, tag + 1);
     }
   }
 

@@ -1,8 +1,9 @@
 // One field list per counter group.
 //
-// Each counter group (SettleCounters, FusionCounters, CarrierReport,
-// SchedulerTotals) declares its uint64 fields once and lists them once,
-// as (name, member) pairs in report order: `kFields`.  Summing, diffing,
+// Each counter group (SettleCounters, FusionCounters, CarrierReport and
+// SchedulerTotals, which inherits CarrierReport's list) declares its
+// uint64 fields once and lists them once, as (name, member) pairs in
+// report order: `kFields`.  Summing, diffing,
 // shipping over a pipe and printing a group all walk that list, so a
 // new counter is one member plus one list entry plus its increment site.
 #pragma once

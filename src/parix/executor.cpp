@@ -356,13 +356,8 @@ void Scheduler::prof_prepare() {
 }
 
 void Scheduler::enqueue_locked(Fiber* fiber) {
-  auto& queue = queues_[static_cast<std::size_t>(fiber->home)];
-  queue.push_back(fiber);
+  queues_[static_cast<std::size_t>(fiber->home)].push_back(fiber);
   ++ready_count_;
-  if (ProfRegistry* const prof = prof_registry();
-      prof != nullptr && fiber->home < prof->n) [[unlikely]]
-    prof->carriers[fiber->home].queue_depth.store(
-        static_cast<std::int32_t>(queue.size()), std::memory_order_relaxed);
   // Wake a standby carrier only when the admission cap has room for
   // it; at the cap, the carriers already executing drain the queue
   // themselves when they next return to their loop.
@@ -391,16 +386,10 @@ Fiber* Scheduler::pop_ready_locked(int index) {
     Fiber* fiber = queue.front();
     queue.pop_front();
     --ready_count_;
-    if (prof != nullptr) [[unlikely]] {
-      if (i > 0 && index < prof->n) {
-        CarrierCounters& pc = prof->carriers[index];
-        pc.steal_attempts.fetch_add(1, std::memory_order_relaxed);
-        pc.steal_successes.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (owner < prof->n)
-        prof->carriers[owner].queue_depth.store(
-            static_cast<std::int32_t>(queue.size()),
-            std::memory_order_relaxed);
+    if (prof != nullptr && i > 0 && index < prof->n) [[unlikely]] {
+      CarrierCounters& pc = prof->carriers[index];
+      pc.steal_attempts.fetch_add(1, std::memory_order_relaxed);
+      pc.steal_successes.fetch_add(1, std::memory_order_relaxed);
     }
     return fiber;
   }
@@ -468,7 +457,6 @@ void Scheduler::worker_main(int index) {
       CarrierCounters& pc = prof->carriers[index];
       pc.fibers_run.fetch_add(1, std::memory_order_relaxed);
       if (resumed) pc.fibers_resumed.fetch_add(1, std::memory_order_relaxed);
-      pc.running_proc.store(fiber->proc->id(), std::memory_order_relaxed);
       prof_t0 = std::chrono::steady_clock::now();
     }
 
@@ -479,16 +467,13 @@ void Scheduler::worker_main(int index) {
     sanitizer_finish_switch(fake_stack);
     tl_fiber = nullptr;
 
-    if (prof != nullptr && index < prof->n) [[unlikely]] {
-      CarrierCounters& pc = prof->carriers[index];
-      pc.run_ns.fetch_add(
+    if (prof != nullptr && index < prof->n) [[unlikely]]
+      prof->carriers[index].run_ns.fetch_add(
           static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now() - prof_t0)
                   .count()),
           std::memory_order_relaxed);
-      pc.running_proc.store(-1, std::memory_order_relaxed);
-    }
 
     lock.lock();
     --running_;
@@ -627,15 +612,6 @@ std::exception_ptr Scheduler::run(
       makecontext(&fiber->context, fiber_trampoline, 0);
       queues_[static_cast<std::size_t>(fiber->home)].push_back(fiber);
       ++ready_count_;
-    }
-    if (ProfRegistry* const prof = prof_registry(); prof != nullptr)
-        [[unlikely]] {
-      const int lanes = std::min(carriers, prof->n);
-      for (int i = 0; i < lanes; ++i)
-        prof->carriers[i].queue_depth.store(
-            static_cast<std::int32_t>(
-                queues_[static_cast<std::size_t>(i)].size()),
-            std::memory_order_relaxed);
     }
     work_cv_.notify_all();
   }

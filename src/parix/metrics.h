@@ -95,17 +95,6 @@ CriticalPath analyze_critical_path(const Trace& trace);
 /// Writes the Chrome trace_event JSON for `trace` to `out`.
 void write_chrome_trace(const Trace& trace, std::ostream& out);
 
-/// Same, merging the SKIL_PROF=sampled host timeline (RunResult::prof)
-/// into the trace as a second process: one lane per carrier thread
-/// carrying "vproc N" occupancy slices, plus Perfetto counter tracks
-/// ("ph":"C") for ready-queue depth, dispatch/steal activity and the
-/// global settle-queue depth.  `prof` may be null (plain export).
-/// Host lanes use *wall* microseconds on the shared trace clock --
-/// the sampler and the trace recorder share one wall epoch, so host
-/// and virtual lanes line up in Perfetto.
-void write_chrome_trace(const Trace& trace, const ProfTimeline* prof,
-                        std::ostream& out);
-
 /// Writes the compact metrics JSON for a completed run to `out`.
 /// `result.trace` may be null (stats-only metrics) or in any mode;
 /// span / message / critical-path sections appear when the trace

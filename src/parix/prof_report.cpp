@@ -38,18 +38,15 @@ void render_prof_report(const Value& metrics, std::ostream& out) {
   const Value* sched = metrics.find("scheduler");
   SKIL_REQUIRE(sched != nullptr,
                "skil-prof: metrics file has no 'scheduler' object -- "
-               "re-run the workload with SKIL_PROF=counters or "
-               "SKIL_PROF=sampled");
+               "re-run the workload with SKIL_PROF=counters");
   const Value* prof_name = sched->find("prof");
   const int carriers = static_cast<int>(sched->num("carriers", 0.0));
   const double wall_ns = sched->num("wall_ns", 0.0);
-  const std::uint64_t samples = u64(*sched, "samples");
 
   line(out, "skil-prof -- host scheduler observatory");
-  line(out, "mode %s, %d carriers, run wall %.3f ms, %" PRIu64
-            " sampler ticks",
+  line(out, "mode %s, %d carriers, run wall %.3f ms",
        prof_name != nullptr ? prof_name->string.c_str() : "?", carriers,
-       wall_ns * 1e-6, samples);
+       wall_ns * 1e-6);
   out << '\n';
 
   // Per-carrier table, plus a summed totals row.
@@ -103,15 +100,6 @@ void render_prof_report(const Value& metrics, std::ostream& out) {
   } else {
     line(out, "settlement memo        %" PRIu64 " hits / %" PRIu64 " misses",
          memo_hits, memo_misses);
-  }
-
-  if (const Value* pool = sched->find("pool")) {
-    const std::uint64_t acquires = u64(*pool, "acquires");
-    const std::uint64_t hits = u64(*pool, "hits");
-    line(out, "buffer pool hit rate   %5.1f%%  (%" PRIu64 " of %" PRIu64
-              " acquires, %.2f MiB served)",
-         pct(static_cast<double>(hits), static_cast<double>(acquires)), hits,
-         acquires, pool->num("bytes", 0.0) / (1024.0 * 1024.0));
   }
 }
 

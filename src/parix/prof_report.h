@@ -2,8 +2,7 @@
 //
 // Renders the `scheduler` object of a metrics JSON file (plus the
 // `settlement` object when present) as the skil-prof CLI's dashboard:
-// per-carrier utilization, steal success rate, settlement coverage and
-// pool hit rate.  The output is fully deterministic for a given input
+// per-carrier utilization, steal success rate and settlement coverage.  The output is fully deterministic for a given input
 // -- tests pin it byte-exactly against a fixture.
 #pragma once
 

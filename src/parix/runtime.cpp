@@ -153,26 +153,16 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
     }
   }
 
-  // Host-timeline profiling (parix/prof.h): size the carrier registry
+  // Host scheduler counters (parix/prof.h): size the carrier registry
   // before the run so the scheduler's counter sites never index past
   // it, then activate the sites for the duration of the run (RAII --
-  // the failure rethrow below must not leave them hot).  In sampled
-  // mode the sampler thread shares the trace's wall epoch when one
-  // exists, so host lanes and virtual lanes line up in a merged view.
+  // the failure rethrow below must not leave them hot).
   const bool prof_on = config.prof != ProfMode::kOff;
   const bool prof_pooled = prof_on && engine == ExecutionEngine::kPooled;
   if (prof_pooled) executor_prof_prepare();
   const ProfActivation prof_active(prof_on);
   const std::vector<CarrierReport> prof_before =
       prof_on ? prof_snapshot() : std::vector<CarrierReport>{};
-  const PoolCounters pool_before =
-      prof_on ? prof_pool_counters() : PoolCounters{};
-  std::unique_ptr<ProfSampler> sampler;
-  if (config.prof == ProfMode::kSampled && prof_pooled) {
-    const auto prof_epoch =
-        trace ? trace->wall_epoch : std::chrono::steady_clock::now();
-    sampler = std::make_unique<ProfSampler>(prof_epoch, executor_carriers());
-  }
 
   std::exception_ptr first_failure;
   const auto wall_start = std::chrono::steady_clock::now();
@@ -207,7 +197,6 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
       std::chrono::duration<double>(wall_end - wall_start).count();
   result.trace = std::move(trace);
   if (prof_on) {
-    if (sampler) result.prof = sampler->stop();
     SchedulerReport& sched = result.scheduler;
     sched.mode = config.prof;
     sched.wall_ns = static_cast<std::uint64_t>(
@@ -225,18 +214,10 @@ RunResult spmd_run_ref(const RunConfig& config, const detail::BodyRef& body) {
         lane -= prof_before[static_cast<std::size_t>(i)];
       sched.per_carrier.push_back(lane);
     }
-    const PoolCounters pool_after = prof_pool_counters();
-    sched.pool.acquires = pool_after.acquires - pool_before.acquires;
-    sched.pool.hits = pool_after.hits - pool_before.hits;
-    sched.pool.misses = pool_after.misses - pool_before.misses;
-    sched.pool.bytes = pool_after.bytes - pool_before.bytes;
     // Tape-memo stats are the run's own settlement counts (summed
     // above); surfaced here so the scheduler report is self-contained.
     sched.memo_hits = result.settle.memo_hits;
     sched.memo_misses = result.settle.memo_misses;
-    sched.samples =
-        result.prof ? static_cast<std::uint64_t>(result.prof->samples.size())
-                    : 0;
   }
   return result;
 }

@@ -68,8 +68,8 @@ struct RunConfig {
   /// runs recognised compositions as one fused pass (same array
   /// results, fewer charges and collective rounds -> lower vtimes).
   FuseMode fuse = default_fuse_mode();
-  /// Host-timeline profiling (parix/prof.h, SKIL_PROF).  kOff costs
-  /// one untaken branch per scheduler site; every mode reads host
+  /// Host scheduler counters (parix/prof.h, SKIL_PROF).  kOff costs
+  /// one untaken branch per scheduler site; kCounters reads host
   /// clocks/counters only and never feeds virtual time, so vtimes are
   /// bit-identical across modes.
   ProfMode prof = default_prof_mode();
@@ -108,12 +108,8 @@ struct RunResult {
   CollectiveCounters coll;
   /// Host scheduler report (parix/prof.h).  mode == kOff when the run
   /// was unprofiled (then everything else in it is zero); carriers ==
-  /// 0 under the threads engine, where pool/memo totals still apply.
+  /// 0 under the threads engine, where the memo totals still apply.
   SchedulerReport scheduler;
-  /// Sampled host timeline (null unless RunConfig::prof == kSampled
-  /// on the pooled engine).  Hand it to write_chrome_trace alongside
-  /// the virtual trace for a merged host+virtual view.
-  std::shared_ptr<const ProfTimeline> prof;
 
   double vtime_seconds() const { return vtime_us * 1e-6; }
 };

@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "parix/buffer_pool.h"
 #include "parix/charge_tape.h"
 #include "parix/collectives.h"
 #include "parix/proc.h"
@@ -93,14 +92,18 @@ int gen_mult_geometry(const DistArray<T>& a, const DistArray<T>& b,
 /// Skew plus the q compute/rotate rounds of Gentleman's algorithm over
 /// already-built working blocks, accumulating into `c_block`.  On
 /// return the operand blocks sit at their skewed start position (the q
-/// single-step rotations wrap around); the caller either unskews and
-/// writes them back (array_gen_mult, which leaves `a` and `b` intact)
-/// or drops them (the fused variants -- the restoring movement is
-/// value-free, so eliding it cannot change any array).  The charge
+/// single-step rotations wrap around), as shared buffers other
+/// processors may still be reading; the caller either unskews copies of
+/// them and writes those back (array_gen_mult, which leaves `a` and `b`
+/// intact) or drops them (the fused variants -- the restoring movement
+/// is value-free, so eliding it cannot change any array).  The charge
 /// sequence from the first skew message onward is byte-identical
 /// between all callers.
+template <class T>
+using SharedBlock = std::shared_ptr<const std::vector<T>>;
+
 template <class T, class Add, class Mult>
-std::pair<std::vector<T>, std::vector<T>> gen_mult_rounds(
+std::pair<SharedBlock<T>, SharedBlock<T>> gen_mult_rounds(
     parix::Proc& proc, const parix::Topology& topo, int block,
     std::vector<T> a_block, std::vector<T> b_block, std::vector<T>& c_block,
     Add& gen_add, Mult& gen_mult) {
@@ -115,16 +118,18 @@ std::pair<std::vector<T>, std::vector<T>> gen_mult_rounds(
   a_block = detail::torus_rotate_by(proc, topo, std::move(a_block), 0, -my_row);
   b_block = detail::torus_rotate_by(proc, topo, std::move(b_block), -my_col, 0);
 
-  // The rotation payloads travel as shared zero-copy buffers: each
-  // round's send references the tiles the multiply loop reads, so the
-  // host copies nothing per round.  The *modeled* T800 still paid a
-  // send-buffer copy per rotation, so the kCopyWord charge below
+  // The skewed blocks are wrapped once and then circulate the torus as
+  // shared immutable buffers: each round sends the buffer the multiply
+  // loop reads and keeps the one it receives, so a round copies and
+  // allocates nothing on the host, and a buffer is freed by whichever
+  // processor drops the last reference.  The *modeled* T800 still paid
+  // a send-buffer copy per rotation, so the kCopyWord charge below
   // stays -- eliminating the host copy must not move the virtual
-  // clock.  The process-wide pool recycles vector nodes drained by
-  // the receiver, and keeps them warm across sweep cells.
-  parix::BufferPool<T>& pool = parix::process_buffer_pool<T>();
-  std::shared_ptr<const std::vector<T>> a_buf = pool.share(std::move(a_block));
-  std::shared_ptr<const std::vector<T>> b_buf = pool.share(std::move(b_block));
+  // clock.
+  SharedBlock<T> a_buf =
+      std::make_shared<const std::vector<T>>(std::move(a_block));
+  SharedBlock<T> b_buf =
+      std::make_shared<const std::vector<T>>(std::move(b_block));
 
   const int a_dst = topo.torus_neighbor(proc.id(), 0, -1);
   const int a_src = topo.torus_neighbor(proc.id(), 0, +1);
@@ -203,13 +208,12 @@ std::pair<std::vector<T>, std::vector<T>> gen_mult_rounds(
     // rotations return the blocks to their skewed start, which the
     // unskew below undoes).
     if (rotating) {
-      a_buf = pool.share(proc.recv<std::vector<T>>(a_src, tag));
-      b_buf = pool.share(proc.recv<std::vector<T>>(b_src, tag + 1));
+      a_buf = proc.recv_buffer<std::vector<T>>(a_src, tag);
+      b_buf = proc.recv_buffer<std::vector<T>>(b_src, tag + 1);
     }
   }
 
-  return {parix::take_buffer(std::move(a_buf)),
-          parix::take_buffer(std::move(b_buf))};
+  return {std::move(a_buf), std::move(b_buf)};
 }
 
 }  // namespace detail
@@ -235,7 +239,7 @@ void array_gen_mult(DistArray<T>& a, DistArray<T>& b, Add gen_add,
       (a_block.size() * sizeof(T)) / sizeof(long) + 1;
   proc.charge(parix::Op::kCopyWord, 2 * block_words);
 
-  auto [a_done, b_done] =
+  const auto [a_done, b_done] =
       detail::gen_mult_rounds(proc, topo, block, std::move(a_block),
                               std::move(b_block), c.local(), gen_add,
                               gen_mult);
@@ -253,11 +257,11 @@ void array_gen_mult(DistArray<T>& a, DistArray<T>& b, Add gen_add,
   if (proc.fuse_mode() == parix::FuseMode::kOn)
     proc.fusion().note_rejected(parix::FusionReject::kPath);
 
-  // Unskew (restores the caller's a and b placements).
-  a_done = detail::torus_rotate_by(proc, topo, std::move(a_done), 0, my_row);
-  b_done = detail::torus_rotate_by(proc, topo, std::move(b_done), my_col, 0);
-  a.local() = std::move(a_done);
-  b.local() = std::move(b_done);
+  // Unskew (restores the caller's a and b placements).  The blocks are
+  // copied out of the shared buffers: a neighbour may still hold the
+  // one it just sent here, so they must never be written through.
+  a.local() = detail::torus_rotate_by(proc, topo, *a_done, 0, my_row);
+  b.local() = detail::torus_rotate_by(proc, topo, *b_done, my_col, 0);
 }
 
 /// Fused matrix squaring (DESIGN.md section 13): the composition

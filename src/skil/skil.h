@@ -31,7 +31,6 @@
 #include "skil/skeleton_comm.h"
 #include "skil/skeleton_create.h"
 #include "skil/skeleton_fold.h"
-#include "skil/skeleton_fuse.h"
 #include "skil/skeleton_gen_mult.h"
 #include "skil/skeleton_map.h"
 #include "skil/stencil.h"

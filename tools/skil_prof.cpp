@@ -3,9 +3,9 @@
 //   skil-prof metrics.json
 //
 // Reads a metrics JSON file written by parix::write_metrics_json for a
-// run with SKIL_PROF=counters or SKIL_PROF=sampled and renders the
-// host-scheduler dashboard: per-carrier utilization, steal success
-// rate, settlement coverage and buffer-pool hit rate.
+// run with SKIL_PROF=counters and renders the host-scheduler
+// dashboard: per-carrier utilization, steal success rate and
+// settlement coverage.
 //
 // Exit status: 0 ok, 2 usage/input failure (missing file, metrics
 // without a scheduler object, malformed JSON).
