@@ -25,12 +25,21 @@
 
 namespace skil::bench {
 
+/// Directory named by a directory-valued artefact flag
+/// (bench_engine_wall's --trace-out): an explicit value wins, and a
+/// bare flag means --out-dir (default: the working directory).
+inline std::string out_dir_path(const support::Cli& cli,
+                                const std::string& flag) {
+  const std::string value = cli.get(flag, "true");
+  return value != "true" ? value : cli.get("out-dir", ".");
+}
+
 /// Parses a bench command line, keeping every failure inside the
 /// program: `--help` prints the accepted flags and exits 0, an unknown
 /// flag is named and exits 2, and a missing or unwritable `--out-dir`,
-/// or an artefact path (`--csv=path`, `--json=path`, ...) whose
-/// directory is missing or not writable, exits 2 before any work
-/// starts.  `dir_flag`, if given, names a flag whose value is a
+/// or an artefact path (`--csv=path`, `--json=path`, ...) that is a
+/// directory or whose directory is missing or not writable, exits 2
+/// before any work starts.  `dir_flag`, if given, names a flag whose value is a
 /// directory the bench writes into: it is made first (like mkdir -p),
 /// so the other artefact paths may point into it.
 inline support::Cli parse_cli(int argc, char** argv,
@@ -68,7 +77,7 @@ inline support::Cli parse_cli(int argc, char** argv,
     std::exit(2);
   }
   if (!dir_flag.empty() && cli.has(dir_flag)) {
-    const std::string made = cli.get(dir_flag, ".");
+    const std::string made = out_dir_path(cli, dir_flag);
     std::error_code error;
     std::filesystem::create_directories(made, error);
     if (error) {
@@ -92,6 +101,12 @@ inline support::Cli parse_cli(int argc, char** argv,
                    "%s: cannot write --%s=%s: directory '%s' is missing or "
                    "not writable\n",
                    program.c_str(), flag, path.c_str(), parent.c_str());
+      std::exit(2);
+    }
+    std::error_code error;
+    if (std::filesystem::is_directory(path, error)) {
+      std::fprintf(stderr, "%s: cannot write --%s=%s: it is a directory\n",
+                   program.c_str(), flag, path.c_str());
       std::exit(2);
     }
   }

@@ -45,9 +45,9 @@
 // same-build tree/auto A/B.
 // --trace-out runs one representative cell again under full tracing
 // (after the timed sweep, so the timings stay untraced) and writes its
-// Chrome trace + metrics JSON (parix/metrics.h) into the directory,
-// which is made before the sweep.  A path that cannot be written
-// exits 2 naming it.
+// Chrome trace + metrics JSON (parix/metrics.h) into the directory
+// (a bare --trace-out: --out-dir), which is made before the sweep.  A
+// path that cannot be written exits 2 naming it.
 //
 // The JSON report (default BENCH_engine.json, schema_version 10)
 // records the run configuration (reps, jobs, nproc, charge path,
@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
     parix::set_default_trace_mode(saved_trace);
     const std::string cell = "gauss_p" + std::to_string(trace_p) + "_n" +
                              std::to_string(trace_n);
-    const std::string dir = cli.get("trace-out", ".");
+    const std::string dir = out_dir_path(cli, "trace-out");
     trace_path = dir + "/trace_" + cell + ".json";
     metrics_path = dir + "/metrics_" + cell + ".json";
     write_artifact(cli, trace_path, [&](std::ostream& os) {
