@@ -39,9 +39,9 @@ inline std::string out_dir_path(const support::Cli& cli,
 /// flag is named and exits 2, and a missing or unwritable `--out-dir`,
 /// or an artefact path (`--csv=path`, `--json=path`, ...) that is a
 /// directory or whose directory is missing or not writable, exits 2
-/// before any work starts.  `dir_flag`, if given, names a flag whose value is a
-/// directory the bench writes into: it is made first (like mkdir -p),
-/// so the other artefact paths may point into it.
+/// before any work starts.  `dir_flag`, if given, names a flag whose
+/// value is a directory the bench writes into: it is made first (like
+/// mkdir -p), so the other artefact paths may point into it.
 inline support::Cli parse_cli(int argc, char** argv,
                               std::vector<std::string> allowed,
                               const std::string& dir_flag = "") {
