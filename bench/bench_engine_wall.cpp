@@ -113,6 +113,7 @@
 //   v2: adds reps/jobs/nproc/charge configuration and per-cell walls.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -157,7 +158,17 @@ int main(int argc, char** argv) {
                              "trace-out"},
                 /*dir_flag=*/"trace-out");
   const bool quick = cli.get_bool("quick");
-  const double baseline_s = std::atof(cli.get("baseline", "0").c_str());
+  const double baseline_s = apply_knob(cli, [&] {
+    if (!cli.has("baseline")) return 0.0;
+    const std::string value = cli.get("baseline", "");
+    char* end = nullptr;
+    const double secs = std::strtod(value.c_str(), &end);
+    SKIL_REQUIRE(!value.empty() && *end == '\0' && std::isfinite(secs) &&
+                     secs > 0.0,
+                 "--baseline expects a positive number of seconds, got '" +
+                     value + "'");
+    return secs;
+  });
   const std::string baseline_note = cli.get("baseline-note", "unspecified");
   // The host timer is noisy (shared machine); the minimum over reps is
   // the standard robust estimator of the undisturbed wall time.

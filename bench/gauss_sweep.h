@@ -10,8 +10,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <exception>
 #include <iterator>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/gauss.h"
@@ -154,16 +158,68 @@ inline std::vector<GaussCell> run_gauss_grid(const std::vector<int>& ns,
   return cells;
 }
 
-/// Process-per-cell parallel grid: forks up to `jobs` workers, each
-/// computing one (p, n) cell and shipping its result doubles back
-/// through a pipe.  Virtual times are deterministic per cell, so the
-/// assembled grid is identical to run_gauss_grid's no matter how the
-/// host schedules the workers.
+/// Runs `job(i)` for every i in [0, count) in forked workers, up to
+/// `jobs` at a time, and returns the bytes each returned, in index
+/// order; `name(i)` labels the job's progress line on stderr and its
+/// failure.  Virtual times are deterministic per run, so the results do
+/// not depend on how the host schedules the workers.
 ///
 /// Fork safety: the parent process must not have executed an SPMD run
 /// before calling this (the pooled engine's worker threads are created
 /// lazily on first use and would not survive fork).  The bench mains
-/// satisfy this by forking before any in-process sweep.
+/// and skil-goldens satisfy this by forking before any in-process run.
+/// A job's bytes must fit in the pipe buffer (64 KiB on Linux): a
+/// worker writes them and exits, and its pipe is read once it is
+/// reaped.
+template <class Job, class Name>
+std::vector<std::string> run_forked(std::size_t count, int jobs,
+                                    const Job& job, const Name& name) {
+  std::vector<std::string> results(count);
+  std::map<pid_t, std::pair<std::size_t, int>> active;  // job, read fd
+  const auto reap = [&] {
+    int status = 0;
+    const pid_t pid = ::waitpid(-1, &status, 0);
+    SKIL_ASSERT(pid > 0, "run_forked: waitpid failed");
+    const auto [i, fd] = active.at(pid);
+    active.erase(pid);
+    char buf[4096];
+    for (ssize_t got; (got = ::read(fd, buf, sizeof buf)) > 0;)
+      results[i].append(buf, static_cast<std::size_t>(got));
+    ::close(fd);
+    SKIL_REQUIRE(WIFEXITED(status) && WEXITSTATUS(status) == 0,
+                 "the worker for " + name(i) + " failed");
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    while (active.size() >= static_cast<std::size_t>(std::max(1, jobs)))
+      reap();
+    int fds[2];
+    SKIL_ASSERT(::pipe(fds) == 0, "run_forked: pipe failed");
+    std::fprintf(stderr, "  running %s ...\n", name(i).c_str());
+    const pid_t pid = ::fork();
+    SKIL_ASSERT(pid >= 0, "run_forked: fork failed");
+    if (pid == 0) {
+      ::close(fds[0]);
+      int status = 1;
+      try {
+        const std::string out = job(i);
+        if (::write(fds[1], out.data(), out.size()) ==
+            static_cast<ssize_t>(out.size()))
+          status = 0;
+      } catch (const std::exception& err) {
+        std::fprintf(stderr, "%s: %s\n", name(i).c_str(), err.what());
+      }
+      ::_exit(status);
+    }
+    ::close(fds[1]);
+    active[pid] = {i, fds[0]};
+  }
+  while (!active.empty()) reap();
+  return results;
+}
+
+/// Process-per-cell parallel grid: each (p, n) cell runs in a forked
+/// worker (run_forked) and ships its result doubles back, so the
+/// assembled grid is identical to run_gauss_grid's.
 inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
                                                   const std::vector<int>& ps,
                                                   std::uint64_t seed,
@@ -181,8 +237,7 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
 
   // Wire format cell -> parent: the timing doubles followed by the
   // message, settlement/fusion/scheduler/collective counters,
-  // fixed-width so a single read drains the pipe atomically (well under
-  // PIPE_BUF's 4096).  pack and unpack walk the same counter lists.
+  // fixed-width.  pack and unpack walk the same counter lists.
   const auto for_each_counter = [](GaussCell& c, auto&& visit) {
     for (std::uint64_t& m : c.messages) visit(m);
     for (const auto& f : parix::SettleCounters::kFields)
@@ -206,71 +261,33 @@ inline std::vector<GaussCell> run_gauss_grid_jobs(const std::vector<int>& ns,
                     // per op; order_fallbacks
                     (parix::kNumCollAlgos + 3) * parix::kNumCollOps + 1];
   };
-  static_assert(sizeof(CellWire) < 1024, "CellWire must stay one pipe write");
-  auto pack = [&for_each_counter](GaussCell cell) {
-    CellWire w;
-    std::copy(cell.vtime_us, cell.vtime_us + 3, w.d);
-    w.d[3] = cell.wall_s;
-    std::size_t slot = 0;
-    for_each_counter(cell, [&](std::uint64_t& v) { w.u[slot++] = v; });
-    SKIL_ASSERT(slot == std::size(w.u), "CellWire: counter slot mismatch");
-    return w;
-  };
-  auto unpack = [&for_each_counter](const CellWire& w, GaussCell& cell) {
-    std::copy(w.d, w.d + 3, cell.vtime_us);
-    cell.wall_s = w.d[3];
-    std::size_t slot = 0;
-    for_each_counter(cell, [&](std::uint64_t& v) { v = w.u[slot++]; });
-  };
-
-  struct Worker {
-    pid_t pid = -1;
-    int read_fd = -1;
-    std::size_t cell = 0;
-  };
-  std::vector<Worker> active;
-
-  auto reap_one = [&cells, &active, &unpack]() {
-    int status = 0;
-    const pid_t pid = ::waitpid(-1, &status, 0);
-    SKIL_ASSERT(pid > 0, "run_gauss_grid_jobs: waitpid failed");
-    for (std::size_t w = 0; w < active.size(); ++w) {
-      if (active[w].pid != pid) continue;
-      SKIL_ASSERT(WIFEXITED(status) && WEXITSTATUS(status) == 0,
-                  "run_gauss_grid_jobs: worker failed for cell p=" +
-                      std::to_string(cells[active[w].cell].p) +
-                      " n=" + std::to_string(cells[active[w].cell].n));
-      CellWire wire{};
-      const ssize_t got = ::read(active[w].read_fd, &wire, sizeof(wire));
-      ::close(active[w].read_fd);
-      SKIL_ASSERT(got == static_cast<ssize_t>(sizeof(wire)),
-                  "run_gauss_grid_jobs: short read from worker");
-      unpack(wire, cells[active[w].cell]);
-      active.erase(active.begin() + static_cast<long>(w));
-      return;
-    }
-    // An unrelated child (none are spawned here); ignore it.
-  };
-
+  static_assert(sizeof(CellWire) < 4096, "CellWire must fit a pipe buffer");
+  const std::vector<std::string> wires = run_forked(
+      cells.size(), jobs,
+      [&](std::size_t i) {
+        GaussCell cell = run_gauss_cell(cells[i].p, cells[i].n, seed);
+        CellWire w;
+        std::copy(cell.vtime_us, cell.vtime_us + 3, w.d);
+        w.d[3] = cell.wall_s;
+        std::size_t slot = 0;
+        for_each_counter(cell, [&](std::uint64_t& v) { w.u[slot++] = v; });
+        SKIL_ASSERT(slot == std::size(w.u), "CellWire: counter slot mismatch");
+        return std::string(reinterpret_cast<const char*>(&w), sizeof w);
+      },
+      [&](std::size_t i) {
+        return "gauss p=" + std::to_string(cells[i].p) +
+               " n=" + std::to_string(cells[i].n);
+      });
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    while (active.size() >= static_cast<std::size_t>(jobs)) reap_one();
-    int fds[2];
-    SKIL_ASSERT(::pipe(fds) == 0, "run_gauss_grid_jobs: pipe failed");
-    std::fprintf(stderr, "  running gauss p=%d n=%d ...\n", cells[i].p,
-                 cells[i].n);
-    const pid_t pid = ::fork();
-    SKIL_ASSERT(pid >= 0, "run_gauss_grid_jobs: fork failed");
-    if (pid == 0) {
-      ::close(fds[0]);
-      const GaussCell cell = run_gauss_cell(cells[i].p, cells[i].n, seed);
-      const CellWire wire = pack(cell);
-      const ssize_t wrote = ::write(fds[1], &wire, sizeof(wire));
-      ::_exit(wrote == static_cast<ssize_t>(sizeof(wire)) ? 0 : 1);
-    }
-    ::close(fds[1]);
-    active.push_back(Worker{pid, fds[0], i});
+    SKIL_ASSERT(wires[i].size() == sizeof(CellWire),
+                "run_gauss_grid_jobs: short read from worker");
+    CellWire w;
+    std::memcpy(&w, wires[i].data(), sizeof w);
+    std::copy(w.d, w.d + 3, cells[i].vtime_us);
+    cells[i].wall_s = w.d[3];
+    std::size_t slot = 0;
+    for_each_counter(cells[i], [&](std::uint64_t& v) { v = w.u[slot++]; });
   }
-  while (!active.empty()) reap_one();
   return cells;
 }
 

@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "apps/gauss.h"
-#include "parix_golden_cases.h"
 #include "support/matrix.h"
+#include "with_knobs.h"
 
 namespace {
 

@@ -1,24 +1,18 @@
-// Integration and golden tests for the Jacobi halo-exchange stencil
-// (apps/stencil_jacobi.h).
+// Integration tests for the Jacobi halo-exchange stencil
+// (apps/stencil_jacobi.h).  Its vtimes under coll tree and auto are
+// pinned in tests/goldens/vtimes.json.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <string>
 
 #include "apps/stencil_jacobi.h"
-#include "parix_golden_cases.h"
+#include "with_knobs.h"
 
 namespace {
 
 using namespace skil;
 using skil::testing::with_coll_mode;
-
-std::string hex(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
 
 struct SCase {
   int p;
@@ -80,34 +74,6 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::to_string(info.param.steps);
       return name;
     });
-
-TEST(StencilGoldens, VtimesArePinnedPerMode) {
-  struct Golden {
-    const char* name;
-    parix::CollMode mode;
-    int p, cells, steps;
-    double vtime_us;
-  };
-  const Golden kGoldens[] = {
-      // At these sizes the adaptive mode already wins: the end-of-step
-      // folds pick the dissemination allreduce over the 2 log p tree.
-      {"stencil_tree_p8", parix::CollMode::kTree, 8, 256, 16,
-       0x1.19f0ccccccccep+15},
-      {"stencil_auto_p8", parix::CollMode::kAuto, 8, 256, 16,
-       0x1.0fd8ccccccccep+15},
-      {"stencil_tree_p16", parix::CollMode::kTree, 16, 512, 16,
-       0x1.395e000000002p+15},
-      {"stencil_auto_p16", parix::CollMode::kAuto, 16, 512, 16,
-       0x1.2d9266666666cp+15},
-  };
-  for (const Golden& g : kGoldens) {
-    const auto result = with_coll_mode(g.mode, [&] {
-      return apps::stencil_jacobi(g.p, g.cells, g.steps);
-    });
-    EXPECT_EQ(result.run.vtime_us, g.vtime_us)
-        << g.name << ": actual " << hex(result.run.vtime_us);
-  }
-}
 
 TEST(StencilGoldens, CollAutoNeverLosesToTheTree) {
   // bench_stencil's rod on its three machine sizes.  At p = 64 the

@@ -1,4 +1,4 @@
-// Differential and golden tests for the collective algorithm zoo
+// Differential tests for the collective algorithm zoo
 // (parix/coll.h, parix/collectives.h; DESIGN.md section 15).
 //
 // The zoo's contract has three legs, each pinned here:
@@ -9,22 +9,21 @@
 //      bracketing; elementwise allreduce falls back to the tree unless
 //      the caller declares CollOrder::kExact).
 //   2. Virtual times: each algorithm's communication schedule is a
-//      deterministic artefact, pinned by hexfloat goldens per
-//      (op, algorithm, p).
+//      deterministic artefact, pinned per (op, algorithm, p) in
+//      tests/goldens/vtimes.json (the goldens.* ctest entries).
 //   3. Sub-communicators: split_rows/split_cols renumber ranks, keep
 //      disjoint tag streams, and never cross-match concurrent row and
 //      column collectives.
-// SKIL_COLL=auto's pick rests on the goldens of leg 2: its dry run
-// must reproduce them exactly and equal the real call across the whole
-// grid (CollDryRunGrid), and its decisions are pinned below.
+// SKIL_COLL=auto's pick rests on leg 2: its dry run must equal the
+// real call across the whole grid (CollDryRunGrid, which covers every
+// pinned case), and its decisions are pinned below.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "goldens/pinned_runs.h"
 #include "parix/collectives.h"
 #include "parix/runtime.h"
 
@@ -34,12 +33,6 @@ using namespace skil::parix;
 
 constexpr CollMode kAllModes[] = {CollMode::kTree, CollMode::kRing,
                                   CollMode::kRd, CollMode::kAuto};
-
-std::string hex(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
 
 /// An order-sensitive double per virtual rank: summing these in a
 /// different bracketing changes the rounding, so bitwise agreement
@@ -265,98 +258,25 @@ TEST(CollCounters, AttributeCallsBytesHopsAndStepsPerAlgorithm) {
   }
 }
 
-// --- per-algorithm vtime goldens -------------------------------------
+// --- per-algorithm vtimes -------------------------------------------
 //
-// Captured from this implementation (hexfloat, bit-exact).  A change
-// to any of them means the algorithm's communication schedule -- the
-// artefact the cost model prices -- moved, not just host performance.
+// Each algorithm's communication schedule -- the artefact the cost
+// model prices -- is pinned per (op, algorithm, p) in
+// tests/goldens/vtimes.json; the cases' bodies live with the list of
+// pinned runs (tests/goldens/pinned_runs.h).
 
-RunResult run_elems(CollMode mode, int p, Distr distr) {
-  RunConfig config{p, CostModel::t800()};
-  config.coll = mode;
-  return spmd_run(config, [&](Proc& proc) {
-    const Topology topo(proc.machine(), distr);
-    std::vector<double> v(4096);
-    const int vr = topo.vrank_of(proc.id());
-    for (int i = 0; i < 4096; ++i)
-      v[i] = static_cast<double>((vr + 1) * (i % 1021));
-    (void)allreduce_elems(proc, topo, std::move(v),
-                          [](double a, double b) { return a + b; },
-                          CollOrder::kExact);
-  });
-}
-
-RunResult run_allgather(CollMode mode, int p, Distr distr) {
-  RunConfig config{p, CostModel::t800()};
-  config.coll = mode;
-  return spmd_run(config, [&](Proc& proc) {
-    const Topology topo(proc.machine(), distr);
-    (void)allgather(proc, topo, proc.id() + 0.5);
-  });
-}
-
-RunResult run_bcast(CollMode mode, int p, Distr distr) {
-  RunConfig config{p, CostModel::t800()};
-  config.coll = mode;
-  return spmd_run(config, [&](Proc& proc) {
-    const Topology topo(proc.machine(), distr);
-    std::vector<double> v;
-    if (proc.id() == 0) v.assign(8192, 1.25);
-    broadcast(proc, topo, 0, v, 8192 * sizeof(double));
-  });
-}
-
-struct AlgoGolden {
-  const char* name;
-  RunResult (*run)();
-  double vtime_us;
-  std::uint64_t messages_sent;
-};
-
-const AlgoGolden kAlgoGoldens[] = {
-    {"elems_tree_p16",
-     [] { return run_elems(CollMode::kTree, 16, Distr::kDefault); },
-     0x1.a0c5999999999p+18, 30},
-    {"elems_ring_p16",
-     [] { return run_elems(CollMode::kRing, 16, Distr::kDefault); },
-     0x1.08e8cccccccccp+17, 480},
-    {"elems_raben_p16",
-     [] { return run_elems(CollMode::kRd, 16, Distr::kDefault); },
-     0x1.aee3333333333p+16, 128},
-    {"allgather_tree_p16",
-     [] { return run_allgather(CollMode::kTree, 16, Distr::kRing); },
-     0x1.a173333333333p+12, 30},
-    {"allgather_ring_p16",
-     [] { return run_allgather(CollMode::kRing, 16, Distr::kRing); },
-     0x1.2006666666666p+13, 240},
-    {"allgather_bruck_p12",
-     [] { return run_allgather(CollMode::kRd, 12, Distr::kDefault); },
-     0x1.8933333333333p+11, 48},
-    {"bcast_tree_p16",
-     [] { return run_bcast(CollMode::kTree, 16, Distr::kDefault); },
-     0x1.0ec9333333333p+18, 15},
-    {"bcast_ringpipe_p16",
-     [] { return run_bcast(CollMode::kRing, 16, Distr::kDefault); },
-     0x1.547d99999999bp+16, 240},
-};
-
-TEST(CollAlgoGoldens, VtimesAndScheduleArePinnedPerAlgorithm) {
-  for (const AlgoGolden& g : kAlgoGoldens) {
-    const RunResult run = g.run();
-    EXPECT_EQ(run.vtime_us, g.vtime_us)
-        << g.name << ": actual " << hex(run.vtime_us);
-    EXPECT_EQ(run.total.messages_sent, g.messages_sent) << g.name;
-  }
-}
+using skil::goldens::coll_allreduce_elems;
 
 TEST(CollAlgoGoldens, ReassociatingFamiliesBeatTheTreeAtThisSize) {
   // The reason the zoo exists: at 32 KB payloads on 16 processors the
   // reduce-scatter pipelines are well under the 2 log p tree.
-  const double tree = run_elems(CollMode::kTree, 16, Distr::kDefault).vtime_us;
-  const double ring = run_elems(CollMode::kRing, 16, Distr::kDefault).vtime_us;
-  const double raben = run_elems(CollMode::kRd, 16, Distr::kDefault).vtime_us;
-  const double adaptive =
-      run_elems(CollMode::kAuto, 16, Distr::kDefault).vtime_us;
+  const auto vtime = [](CollMode mode) {
+    return coll_allreduce_elems(mode, 16, Distr::kDefault).vtime_us;
+  };
+  const double tree = vtime(CollMode::kTree);
+  const double ring = vtime(CollMode::kRing);
+  const double raben = vtime(CollMode::kRd);
+  const double adaptive = vtime(CollMode::kAuto);
   EXPECT_LT(ring, tree);
   EXPECT_LT(raben, tree);
   // auto picks the best of the three estimates.
@@ -390,46 +310,6 @@ std::uint64_t schedule_sends(const coll_detail::Schedule& s) {
     for (const coll_detail::DryStep* st = s.begin(m); st != s.end(m); ++st)
       sends += st->kind == coll_detail::DryStep::kSend;
   return sends;
-}
-
-TEST(CollAutoDryRun, ReproducesEveryAlgorithmGoldenExactly) {
-  struct DryCase {
-    const char* golden;
-    int p;
-    Distr distr;
-    CollPickKey key;
-    CollAlgo algo;
-  };
-  const CollPickKey elems =
-      pick_key(PickSite::kAllreduceElems, 4096, sizeof(double), Op::kFloatOp);
-  const CollPickKey gather = pick_key(PickSite::kAllgather, sizeof(double), 0);
-  const CollPickKey bcast =
-      pick_key(PickSite::kBcastVector, 8192, sizeof(double));
-  const DryCase kCases[] = {
-      {"elems_tree_p16", 16, Distr::kDefault, elems, CollAlgo::kTree},
-      {"elems_ring_p16", 16, Distr::kDefault, elems, CollAlgo::kRing},
-      {"elems_raben_p16", 16, Distr::kDefault, elems, CollAlgo::kRabenseifner},
-      {"allgather_tree_p16", 16, Distr::kRing, gather, CollAlgo::kTree},
-      {"allgather_ring_p16", 16, Distr::kRing, gather, CollAlgo::kRing},
-      {"allgather_bruck_p12", 12, Distr::kDefault, gather,
-       CollAlgo::kRecDouble},
-      {"bcast_tree_p16", 16, Distr::kDefault, bcast, CollAlgo::kTree},
-      {"bcast_ringpipe_p16", 16, Distr::kDefault, bcast, CollAlgo::kRing},
-  };
-  for (const DryCase& c : kCases) {
-    const AlgoGolden* golden = nullptr;
-    for (const AlgoGolden& g : kAlgoGoldens)
-      if (std::strcmp(g.name, c.golden) == 0) golden = &g;
-    ASSERT_NE(golden, nullptr) << c.golden;
-    const Machine machine(c.p, CostModel::t800());
-    const Topology topo(machine, c.distr);
-    const coll_detail::Schedule s =
-        coll_detail::schedule_for(c.key, c.algo, c.p, machine.cost());
-    EXPECT_EQ(coll_detail::completion_us(s, topo, machine.cost(), 0),
-              golden->vtime_us)
-        << c.golden;
-    EXPECT_EQ(schedule_sends(s), golden->messages_sent) << c.golden;
-  }
 }
 
 // One isolated call of every site and algorithm auto prices, at every
@@ -645,8 +525,8 @@ TEST(CollAutoPick, ExactElementwiseAllreduceKeepsRabenseifner) {
 
 TEST(CollAlgoGoldens, VtimeIsDeterministicPerMode) {
   for (CollMode mode : kAllModes) {
-    const RunResult a = run_elems(mode, 12, Distr::kTorus2D);
-    const RunResult b = run_elems(mode, 12, Distr::kTorus2D);
+    const RunResult a = coll_allreduce_elems(mode, 12, Distr::kTorus2D);
+    const RunResult b = coll_allreduce_elems(mode, 12, Distr::kTorus2D);
     EXPECT_EQ(a.vtime_us, b.vtime_us) << coll_mode_name(mode);
     EXPECT_EQ(a.total.messages_sent, b.total.messages_sent);
     EXPECT_EQ(a.total.bytes_sent, b.total.bytes_sent);

@@ -1,11 +1,8 @@
-// Tests for the execution engines: golden virtual times pinned from
-// the original one-thread-per-processor implementation, differential
-// determinism between the threads and pooled engines, bulk-charge
-// identity, deadlock detection, and the templated spmd_run overload.
-//
-// The golden values (hexfloat, bit-exact) were captured from the seed
-// implementation; any engine or skeleton change that moves one of them
-// has changed the scientific artefact, not just the host performance.
+// Tests for the execution engines: the RunConfig engine override,
+// bulk-charge identity, deadlock detection, nested runs, and the
+// templated spmd_run overload.  That both engines reproduce every
+// pinned virtual time is checked by ctest's goldens.defaults and
+// goldens.threads (tests/goldens/vtimes.json).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,60 +11,17 @@
 #include "apps/gauss.h"
 #include "apps/shortest_paths.h"
 #include "parix/runtime.h"
-#include "parix_golden_cases.h"
 #include "support/error.h"
+#include "with_knobs.h"
 
 namespace {
 
 using namespace skil;
 using namespace skil::parix;
 
-using skil::testing::GoldenCase;
-using skil::testing::golden_cases;
 using skil::testing::with_engine;
 
-// --- golden virtual times -------------------------------------------------
-
-TEST(EngineGolden, PooledEngineReproducesSeedVirtualTimes) {
-  for (const GoldenCase& c : golden_cases()) {
-    SCOPED_TRACE(c.name);
-    const RunResult r =
-        with_engine(ExecutionEngine::kPooled, [&] { return c.run(); });
-    EXPECT_EQ(r.vtime_us, c.vtime_us);
-    EXPECT_EQ(r.proc_vtimes, c.proc_vtimes);
-    EXPECT_EQ(r.total.messages_sent, c.messages_sent);
-    EXPECT_EQ(r.total.bytes_sent, c.bytes_sent);
-    EXPECT_EQ(r.total.compute_us, c.compute_us);
-    EXPECT_EQ(r.total.comm_us, c.comm_us);
-  }
-}
-
-TEST(EngineGolden, ThreadsEngineReproducesSeedVirtualTimes) {
-  for (const GoldenCase& c : golden_cases()) {
-    SCOPED_TRACE(c.name);
-    const RunResult r =
-        with_engine(ExecutionEngine::kThreads, [&] { return c.run(); });
-    EXPECT_EQ(r.vtime_us, c.vtime_us);
-    EXPECT_EQ(r.proc_vtimes, c.proc_vtimes);
-  }
-}
-
 // --- differential determinism ---------------------------------------------
-
-TEST(EngineDifferential, EnginesAgreeBitForBitOnAllApps) {
-  for (const GoldenCase& c : golden_cases()) {
-    SCOPED_TRACE(c.name);
-    const RunResult threads =
-        with_engine(ExecutionEngine::kThreads, [&] { return c.run(); });
-    const RunResult pooled =
-        with_engine(ExecutionEngine::kPooled, [&] { return c.run(); });
-    EXPECT_EQ(threads.vtime_us, pooled.vtime_us);
-    EXPECT_EQ(threads.proc_vtimes, pooled.proc_vtimes);
-    ASSERT_EQ(threads.proc_stats.size(), pooled.proc_stats.size());
-    for (std::size_t p = 0; p < threads.proc_stats.size(); ++p)
-      EXPECT_EQ(threads.proc_stats[p], pooled.proc_stats[p]);
-  }
-}
 
 TEST(EngineDifferential, ExplicitRunConfigEngineOverridesDefault) {
   auto body = [](Proc& proc) {

@@ -2,10 +2,9 @@
 //
 // The two contracts this suite pins:
 //
-//  1. Profiling never moves virtual time.  The golden vtimes are
-//     bit-identical under SKIL_PROF=off and counters, across engines,
-//     carrier counts and charge paths -- the profiler reads host
-//     clocks and host counters only.
+//  1. Profiling never moves virtual time: the profiler reads host
+//     clocks and host counters only.  goldens.prof_counters checks
+//     every pinned run under SKIL_PROF=counters.
 //
 //  2. The counters are conserved.  Steal successes cannot exceed
 //     attempts, and resumes cannot exceed dispatches.  A violated
@@ -23,19 +22,21 @@
 #include <string>
 
 #include "apps/gauss.h"
+#include "goldens/pinned_runs.h"
 #include "parix/executor.h"
 #include "parix/metrics.h"
 #include "parix/prof.h"
 #include "parix/prof_report.h"
 #include "parix/runtime.h"
-#include "parix_golden_cases.h"
 #include "support/error.h"
 #include "support/json.h"
+#include "with_knobs.h"
 
 namespace {
 
 using namespace skil;
 using namespace skil::testing;
+using goldens::kSeed;
 
 /// Runs `fn` with `mode` as the process-wide default profiler mode,
 /// restoring the previous default afterwards.
@@ -96,57 +97,12 @@ TEST(ProfMode, EngineKnobSharesCanonicalMessageShape) {
   }
 }
 
-// Contract 1: bit-identical golden vtimes with the counters on.  Every
-// golden case runs profiled on both engines.
-TEST(ProfGoldenIdentity, AllCasesBothEnginesCountersAndSampled) {
-  for (const GoldenCase& golden : golden_cases()) {
-    for (const parix::ExecutionEngine engine :
-         {parix::ExecutionEngine::kThreads, parix::ExecutionEngine::kPooled}) {
-      const parix::RunResult run = with_engine(engine, [&] {
-        return with_prof_mode(parix::ProfMode::kCounters,
-                              [&] { return golden.run(); });
-      });
-      EXPECT_EQ(run.vtime_us, golden.vtime_us)
-          << golden.name << " engine " << static_cast<int>(engine);
-      ASSERT_EQ(run.proc_vtimes.size(), golden.proc_vtimes.size())
-          << golden.name;
-      for (std::size_t p = 0; p < golden.proc_vtimes.size(); ++p)
-        EXPECT_EQ(run.proc_vtimes[p], golden.proc_vtimes[p])
-            << golden.name << " proc " << p;
-    }
-  }
-}
-
-// Same contract across carrier counts and charge paths: the
-// per-carrier counters must not perturb the virtual times no matter
-// how the host work is spread.
-TEST(ProfGoldenIdentity, SampledAcrossCarriersAndChargePaths) {
-  const GoldenCase& golden = golden_cases()[3];  // gauss_skil_p16_n64
-  for (const int carriers : {1, 4}) {
-    for (const parix::ChargePath path :
-         {parix::ChargePath::kInterp, parix::ChargePath::kTape}) {
-      const parix::RunResult run = with_carriers(carriers, [&] {
-        return with_engine(parix::ExecutionEngine::kPooled, [&] {
-          return with_charge_path(path, [&] {
-            return with_prof_mode(parix::ProfMode::kCounters,
-                                  [&] { return golden.run(); });
-          });
-        });
-      });
-      EXPECT_EQ(run.vtime_us, golden.vtime_us)
-          << "carriers " << carriers << " path " << static_cast<int>(path);
-      for (std::size_t p = 0; p < golden.proc_vtimes.size(); ++p)
-        EXPECT_EQ(run.proc_vtimes[p], golden.proc_vtimes[p]) << p;
-    }
-  }
-}
-
 // Contract 2: counter conservation on a profiled pooled run.
 TEST(ProfCounters, ConservationInvariants) {
   const parix::RunResult run = with_carriers(4, [&] {
     return with_engine(parix::ExecutionEngine::kPooled, [&] {
       return with_prof_mode(parix::ProfMode::kCounters, [&] {
-        return apps::gauss_skil(16, 64, kGoldenSeed, false).run;
+        return apps::gauss_skil(16, 64, kSeed, false).run;
       });
     });
   });
@@ -185,7 +141,7 @@ TEST(ProfCounters, OffModeRecordsNothing) {
   const parix::RunResult run = with_engine(
       parix::ExecutionEngine::kPooled, [&] {
         return with_prof_mode(parix::ProfMode::kOff, [&] {
-          return apps::gauss_skil(4, 64, kGoldenSeed, false).run;
+          return apps::gauss_skil(4, 64, kSeed, false).run;
         });
       });
   EXPECT_EQ(run.scheduler.mode, parix::ProfMode::kOff);
@@ -197,7 +153,7 @@ TEST(ProfMetricsJson, SchedulerBlockPresentExactlyWhenProfiled) {
     const parix::RunResult run = with_engine(
         parix::ExecutionEngine::kPooled, [&] {
           return with_prof_mode(
-              mode, [&] { return apps::gauss_skil(4, 64, kGoldenSeed,
+              mode, [&] { return apps::gauss_skil(4, 64, kSeed,
                                                   false).run; });
         });
     std::ostringstream os;
@@ -242,7 +198,7 @@ TEST(ProfReport, RendersPinnedFixtureByteExact) {
 TEST(ProfReport, RefusesMetricsWithoutSchedulerBlock) {
   const parix::RunResult run = with_prof_mode(
       parix::ProfMode::kOff,
-      [&] { return apps::gauss_skil(4, 64, kGoldenSeed, false).run; });
+      [&] { return apps::gauss_skil(4, 64, kSeed, false).run; });
   std::ostringstream metrics;
   parix::write_metrics_json(run, metrics);
   std::ostringstream out;

@@ -139,16 +139,21 @@ TEST(VirtualTime, ChargeAccumulatesModelUnits) {
 TEST(VirtualTime, ReceiveWaitsForArrival) {
   const CostModel cm = CostModel::t800();
   RunConfig config{2, cm};
+  // The message's arrival, timed as Proc times it: sent once the sender
+  // has been busy for 1000 integer ops, over one hop of free links.
+  LinkChannels links;
+  const double arrival =
+      cm.time_send(links, 1000 * cm.int_op_us, sizeof(int), 1,
+                   SendMode::kAsync)
+          .arrival;
   const auto result = spmd_run(config, [&](Proc& proc) {
     if (proc.id() == 0) {
       proc.charge(Op::kIntOp, 1000);  // sender is busy first
       proc.send<int>(1, 1, 7);
     } else {
       proc.recv<int>(0, 1);
-      // Receiver idles until the message arrives: its clock must be at
-      // least the sender's send time plus the transfer.
-      EXPECT_GE(proc.vtime(),
-                1000 * cm.int_op_us + cm.transfer_us(sizeof(int), 1));
+      // Receiver idles until the message arrives.
+      EXPECT_GE(proc.vtime(), arrival);
     }
   });
   EXPECT_GT(result.vtime_us, 1000 * cm.int_op_us);
@@ -178,7 +183,9 @@ TEST(VirtualTime, SyncSenderWaitsForDelivery) {
       const std::size_t bytes = big.size() + 8;
       proc.send_mode<std::vector<char>>(1, 1, std::move(big), SendMode::kSync);
       EXPECT_DOUBLE_EQ(proc.vtime(), cm.transfer_us(bytes, 1));
-      EXPECT_GT(proc.vtime(), cm.msg_startup_us * 100);
+      // It waits for the payload to stream, not just for the startup
+      // an asynchronous sender pays.
+      EXPECT_GT(proc.vtime(), cm.msg_startup_us + cm.msg_per_byte_us * 100000);
     } else {
       proc.recv<std::vector<char>>(0, 1);
     }

@@ -1,13 +1,14 @@
 // Tracing layer (parix/trace.h, parix/metrics.h).
 //
 // The load-bearing property is the two-timeline invariant: tracing in
-// any mode must leave every golden virtual time bit-identical, under
-// both execution engines and both charge paths, because the recorder
-// only *reads* the virtual clock.  On top of that the suite pins the
-// trace semantics themselves: full traces are deterministic in virtual
-// time across runs, spans nest per processor, the exporters emit valid
-// JSON, the metrics round-trip Proc::Stats bit-exactly, and the
-// critical-path walk telescopes to the run's final max vtime.
+// any mode must leave every virtual time bit-identical, because the
+// recorder only *reads* the virtual clock; ctest's goldens.trace_spans
+// and goldens.trace_full check it on every pinned run.  This suite pins
+// the trace semantics themselves: a run carries a trace exactly when
+// tracing is on, full traces are deterministic in virtual time across
+// runs, spans nest per processor, the exporters emit valid JSON, the
+// metrics round-trip Proc::Stats bit-exactly, and the critical-path
+// walk telescopes to the run's final max vtime.
 
 #include <gtest/gtest.h>
 
@@ -21,18 +22,18 @@
 #include <vector>
 
 #include "apps/gauss.h"
+#include "goldens/pinned_runs.h"
 #include "parix/metrics.h"
 #include "parix/runtime.h"
 #include "parix/trace.h"
-#include "parix_golden_cases.h"
 #include "support/error.h"
+#include "with_knobs.h"
 
 namespace {
 
 using skil::parix::analyze_critical_path;
 using skil::parix::ChargePath;
 using skil::parix::CriticalPath;
-using skil::parix::ExecutionEngine;
 using skil::parix::FuseMode;
 using skil::parix::ProcTrace;
 using skil::parix::RunResult;
@@ -41,11 +42,8 @@ using skil::parix::TraceEvent;
 using skil::parix::TraceEventKind;
 using skil::parix::TraceMode;
 using skil::support::ContractError;
-using skil::testing::GoldenCase;
-using skil::testing::golden_cases;
-using skil::testing::kGoldenSeed;
+using skil::goldens::kSeed;
 using skil::testing::with_charge_path;
-using skil::testing::with_engine;
 using skil::testing::with_fuse_mode;
 
 /// Runs `fn` with `mode` as the process-wide default trace mode,
@@ -61,7 +59,7 @@ auto with_trace_mode(TraceMode mode, Fn&& fn) {
 
 RunResult traced_gauss(TraceMode mode) {
   return with_trace_mode(
-      mode, [] { return skil::apps::gauss_skil(4, 32, kGoldenSeed, true).run; });
+      mode, [] { return skil::apps::gauss_skil(4, 32, kSeed, true).run; });
 }
 
 // ---------------------------------------------------------------------------
@@ -80,63 +78,18 @@ TEST(TraceMode_, RejectsUnknownNamesLoudly) {
 }
 
 // ---------------------------------------------------------------------------
-// The two-timeline invariant: tracing must not perturb virtual time.
+// A run carries a trace exactly when tracing is on.  That no mode moves
+// a virtual time is checked by goldens.defaults, goldens.trace_spans and
+// goldens.trace_full over every pinned run.
 
-void expect_golden_vtimes(const GoldenCase& c, const RunResult& run) {
-  EXPECT_EQ(run.vtime_us, c.vtime_us) << c.name;
-  ASSERT_EQ(run.proc_vtimes.size(), c.proc_vtimes.size()) << c.name;
-  for (std::size_t p = 0; p < c.proc_vtimes.size(); ++p)
-    EXPECT_EQ(run.proc_vtimes[p], c.proc_vtimes[p]) << c.name << " proc " << p;
-  EXPECT_EQ(run.total.compute_us, c.compute_us) << c.name;
-  EXPECT_EQ(run.total.comm_us, c.comm_us) << c.name;
-}
-
-void check_goldens_under(TraceMode mode, ExecutionEngine engine,
-                         ChargePath charge) {
-  for (const GoldenCase& c : golden_cases()) {
-    const RunResult run = with_trace_mode(mode, [&] {
-      return with_engine(engine, [&] {
-        return with_charge_path(charge, [&] { return c.run(); });
-      });
-    });
-    expect_golden_vtimes(c, run);
-    EXPECT_EQ(run.trace == nullptr, mode == TraceMode::kOff) << c.name;
-  }
-}
-
-TEST(TraceOff, GoldensBitIdenticalPooledInterp) {
-  check_goldens_under(TraceMode::kOff, ExecutionEngine::kPooled,
-                      ChargePath::kInterp);
-}
-
-TEST(TraceOff, GoldensBitIdenticalPooledTape) {
-  check_goldens_under(TraceMode::kOff, ExecutionEngine::kPooled,
-                      ChargePath::kTape);
-}
-
-TEST(TraceOff, GoldensBitIdenticalThreadsInterp) {
-  check_goldens_under(TraceMode::kOff, ExecutionEngine::kThreads,
-                      ChargePath::kInterp);
-}
-
-TEST(TraceOff, GoldensBitIdenticalThreadsTape) {
-  check_goldens_under(TraceMode::kOff, ExecutionEngine::kThreads,
-                      ChargePath::kTape);
-}
-
-// Full tracing must not move the clocks either -- the golden vtimes
-// hold in every mode, not just off (one representative cell per
-// engine; the off-mode sweeps above cover the full grid).
-TEST(TraceFull, GoldenVtimesUnchangedUnderFullTracing) {
-  const GoldenCase& c = golden_cases().front();
-  for (const ExecutionEngine engine :
-       {ExecutionEngine::kPooled, ExecutionEngine::kThreads}) {
-    const RunResult run = with_trace_mode(TraceMode::kFull, [&] {
-      return with_engine(engine, [&] { return c.run(); });
-    });
-    expect_golden_vtimes(c, run);
-    ASSERT_NE(run.trace, nullptr);
-    EXPECT_EQ(run.trace->mode, TraceMode::kFull);
+TEST(TraceMode_, RunCarriesATraceExactlyWhenTracingIsOn) {
+  for (const TraceMode mode :
+       {TraceMode::kOff, TraceMode::kSpans, TraceMode::kFull}) {
+    const RunResult run = traced_gauss(mode);
+    ASSERT_EQ(run.trace == nullptr, mode == TraceMode::kOff);
+    if (run.trace != nullptr) {
+      EXPECT_EQ(run.trace->mode, mode);
+    }
   }
 }
 
@@ -258,16 +211,16 @@ TEST(TraceSpans, TapePathBooksElidedWorkInTheOraclesSpans) {
   };
   const Case cases[] = {
       {"skil",
-       [] { return gauss_skil(4, 32, kGoldenSeed, false).run; },
+       [] { return gauss_skil(4, 32, kSeed, false).run; },
        {{"array_copy", 128}, {"array_create", 12}, {"array_map", 260}}},
       {"skil pivoting",
-       [] { return gauss_skil(4, 32, kGoldenSeed, true).run; },
+       [] { return gauss_skil(4, 32, kSeed, true).run; },
        {{"array_copy", 4},
         {"array_create", 12},
         {"array_map", 260},
         {"array_permute_rows", 124}}},
       {"dpfl",
-       [] { return gauss_dpfl(4, 32, kGoldenSeed).run; },
+       [] { return gauss_dpfl(4, 32, kSeed).run; },
        {{"fa_map", 260}, {"fa_create", 8}}},
   };
   for (const Case& c : cases) {
@@ -325,7 +278,7 @@ TEST(TraceFull, MessageEventCountsMatchStats) {
 // Satellite: Stats now tracks received traffic symmetrically.
 TEST(Stats, BytesReceivedMatchesBytesSentInAggregate) {
   const RunResult run =
-      skil::apps::gauss_skil(4, 32, kGoldenSeed, false).run;
+      skil::apps::gauss_skil(4, 32, kSeed, false).run;
   EXPECT_EQ(run.total.bytes_received, run.total.bytes_sent);
   EXPECT_EQ(run.total.messages_received, run.total.messages_sent);
   std::uint64_t received = 0;
@@ -516,7 +469,7 @@ TEST(Exporters, MetricsJsonIsValidAndRoundTripsStatsBitExactly) {
 
 TEST(Exporters, MetricsJsonWorksWithoutATrace) {
   const RunResult run = with_trace_mode(TraceMode::kOff, [] {
-    return skil::apps::gauss_skil(4, 32, kGoldenSeed, false).run;
+    return skil::apps::gauss_skil(4, 32, kSeed, false).run;
   });
   ASSERT_EQ(run.trace, nullptr);
   std::ostringstream out;

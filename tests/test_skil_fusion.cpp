@@ -1,43 +1,41 @@
-// Skeleton fusion (DESIGN.md section 13): golden fused virtual times,
-// off-mode bit-identity with the seed goldens, differential
+// Skeleton fusion (DESIGN.md section 13): differential
 // result-bit-equality between SKIL_FUSE=off and SKIL_FUSE=on, and the
 // fusion counters' accounting.
 //
 // The contract under test:
-//   * off (the default): every cell reproduces the seed golden vtimes
-//     bit-exactly and the fusion counters stay at zero -- fusion
+//   * off (the default): the fusion counters stay at zero -- fusion
 //     support must be invisible when disabled.
-//   * on: array *results* stay bit-identical to off on every cell
-//     while virtual times land on their own pinned goldens
-//     (fused_vtime_us), strictly no higher than the seed values, and
-//     engine-invariant like the seed values.
+//   * on: array *results* stay bit-identical to off on every cell.
 //   * every fusible composition is accounted for: seen = fused +
 //     rejected, with kShape rejections on the pivoting Gauss cell and
 //     kPath rejections when the interpretive charge path is active.
+//
+// The virtual times of both modes are pinned per run in
+// tests/goldens/vtimes.json, where skil-goldens also requires every
+// fuse=on entry to be no higher than its fuse=off twin, on every
+// engine, carrier count, trace and prof mode (the goldens.* entries).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
 #include "apps/gauss.h"
+#include "goldens/pinned_runs.h"
 #include "apps/matmul.h"
 #include "apps/shortest_paths.h"
 #include "parix/charge_tape.h"
 #include "parix/runtime.h"
-#include "parix_golden_cases.h"
 #include "skil/skil.h"
 #include "support/error.h"
+#include "with_knobs.h"
 
 namespace {
 
 using namespace skil;
 using namespace skil::parix;
 
-using skil::testing::GoldenCase;
-using skil::testing::golden_cases;
-using skil::testing::kGoldenSeed;
+using skil::goldens::kSeed;
 using skil::testing::with_charge_path;
-using skil::testing::with_engine;
 using skil::testing::with_fuse_mode;
 
 template <class T>
@@ -59,60 +57,34 @@ TEST(FuseMode, StrictParsingAndNames) {
   EXPECT_EQ(fuse_mode_name(FuseMode::kOn), "on");
 }
 
-// --- off: invisible ---------------------------------------------------------
+// --- counters ---------------------------------------------------------------
 
-TEST(FusionGolden, OffReproducesSeedVirtualTimesWithZeroCounters) {
-  for (const GoldenCase& c : golden_cases()) {
-    SCOPED_TRACE(c.name);
-    const RunResult r = with_fuse_mode(FuseMode::kOff, [&] { return c.run(); });
-    EXPECT_EQ(r.vtime_us, c.vtime_us);
-    EXPECT_EQ(r.proc_vtimes, c.proc_vtimes);
-    EXPECT_EQ(r.fusion.seen, 0u);
-    EXPECT_EQ(r.fusion.fused, 0u);
-    EXPECT_EQ(r.fusion.rejected(), 0u);
-    EXPECT_EQ(r.fusion.barriers_eliminated, 0u);
-    EXPECT_EQ(r.fusion.tapes_eliminated, 0u);
-  }
+RunResult gauss_skil_p4_n64() {
+  return apps::gauss_skil(4, 64, kSeed, /*pivoting=*/false).run;
 }
 
-// --- on: pinned fused goldens ----------------------------------------------
-
-TEST(FusionGolden, OnReproducesFusedVirtualTimes) {
-  for (const GoldenCase& c : golden_cases()) {
-    SCOPED_TRACE(c.name);
-    const RunResult r = with_fuse_mode(FuseMode::kOn, [&] { return c.run(); });
-    EXPECT_EQ(r.vtime_us, c.fused_vtime_us);
-    // Fusion can only remove passes and barriers, never add charges.
-    EXPECT_LE(r.vtime_us, c.vtime_us);
-    // Every composition the fused paths saw is accounted for.
-    EXPECT_EQ(r.fusion.seen, r.fusion.fused + r.fusion.rejected());
-    if (c.fused_vtime_us < c.vtime_us) {
-      EXPECT_GT(r.fusion.fused, 0u) << "vtime moved without a fused composition";
-    } else {
-      // The hand-written C programs have no fusible composition.
-      EXPECT_EQ(r.fusion.seen, 0u);
-    }
-  }
+TEST(FusionCounters, AllZeroUnderOff) {
+  const RunResult r = with_fuse_mode(FuseMode::kOff, gauss_skil_p4_n64);
+  EXPECT_EQ(r.fusion, FusionCounters{});
 }
 
-TEST(FusionGolden, FusedVirtualTimesAreEngineInvariant) {
-  for (const GoldenCase& c : golden_cases()) {
-    SCOPED_TRACE(c.name);
-    const RunResult threads = with_fuse_mode(FuseMode::kOn, [&] {
-      return with_engine(ExecutionEngine::kThreads, [&] { return c.run(); });
-    });
-    const RunResult pooled = with_fuse_mode(FuseMode::kOn, [&] {
-      return with_engine(ExecutionEngine::kPooled, [&] { return c.run(); });
-    });
-    EXPECT_EQ(threads.vtime_us, c.fused_vtime_us);
-    EXPECT_EQ(pooled.vtime_us, c.fused_vtime_us);
-    EXPECT_EQ(threads.proc_vtimes, pooled.proc_vtimes);
+TEST(FusionCounters, OnAccountsForEveryComposition) {
+  const RunResult off = with_fuse_mode(FuseMode::kOff, gauss_skil_p4_n64);
+  const RunResult on = with_fuse_mode(FuseMode::kOn, gauss_skil_p4_n64);
+  EXPECT_EQ(on.fusion.seen, on.fusion.fused + on.fusion.rejected());
+  if (on.vtime_us < off.vtime_us) {
+    EXPECT_GT(on.fusion.fused, 0u)
+        << "vtime moved without a fused composition";
   }
+  // The hand-written C program has no fusible composition.
+  const RunResult c = with_fuse_mode(
+      FuseMode::kOn, [] { return apps::gauss_c(4, 64, kSeed).run; });
+  EXPECT_EQ(c.fusion.seen, 0u);
 }
 
 TEST(FusionGolden, PivotingGaussRejectsPermutedStepsByShape) {
   const RunResult r = with_fuse_mode(FuseMode::kOn, [] {
-    return apps::gauss_skil(4, 32, kGoldenSeed, /*pivoting=*/true).run;
+    return apps::gauss_skil(4, 32, kSeed, /*pivoting=*/true).run;
   });
   // Steps whose pivot search permutes rows cannot fuse the in-place
   // elimination (it would read moved data); the rest fuse normally.
@@ -129,12 +101,11 @@ TEST(FusionGolden, InterpChargePathRejectsFusionBitIdentically) {
   // run must execute exactly the interpretive oracle (kPath
   // rejections, no fused composition, bit-identical vtimes to
   // interp + off).
-  const GoldenCase& c = golden_cases().front();  // gauss_skil_p4_n64
-  const RunResult off = with_charge_path(ChargePath::kInterp, [&] {
-    return with_fuse_mode(FuseMode::kOff, [&] { return c.run(); });
+  const RunResult off = with_charge_path(ChargePath::kInterp, [] {
+    return with_fuse_mode(FuseMode::kOff, gauss_skil_p4_n64);
   });
-  const RunResult on = with_charge_path(ChargePath::kInterp, [&] {
-    return with_fuse_mode(FuseMode::kOn, [&] { return c.run(); });
+  const RunResult on = with_charge_path(ChargePath::kInterp, [] {
+    return with_fuse_mode(FuseMode::kOn, gauss_skil_p4_n64);
   });
   EXPECT_EQ(on.vtime_us, off.vtime_us);
   EXPECT_EQ(on.proc_vtimes, off.proc_vtimes);
@@ -147,10 +118,10 @@ TEST(FusionGolden, InterpChargePathRejectsFusionBitIdentically) {
 
 TEST(FusionDifferential, GaussSolutionsBitIdentical) {
   const auto off = with_fuse_mode(FuseMode::kOff, [] {
-    return apps::gauss_skil(4, 64, kGoldenSeed, false);
+    return apps::gauss_skil(4, 64, kSeed, false);
   });
   const auto on = with_fuse_mode(FuseMode::kOn, [] {
-    return apps::gauss_skil(4, 64, kGoldenSeed, false);
+    return apps::gauss_skil(4, 64, kSeed, false);
   });
   EXPECT_TRUE(bits_equal(off.x, on.x));
   EXPECT_LT(on.run.vtime_us, off.run.vtime_us);
@@ -158,10 +129,10 @@ TEST(FusionDifferential, GaussSolutionsBitIdentical) {
 
 TEST(FusionDifferential, GaussPivotingSolutionsBitIdentical) {
   const auto off = with_fuse_mode(FuseMode::kOff, [] {
-    return apps::gauss_skil(4, 32, kGoldenSeed, true);
+    return apps::gauss_skil(4, 32, kSeed, true);
   });
   const auto on = with_fuse_mode(FuseMode::kOn, [] {
-    return apps::gauss_skil(4, 32, kGoldenSeed, true);
+    return apps::gauss_skil(4, 32, kSeed, true);
   });
   EXPECT_TRUE(bits_equal(off.x, on.x));
   EXPECT_LE(on.run.vtime_us, off.run.vtime_us);
@@ -169,10 +140,10 @@ TEST(FusionDifferential, GaussPivotingSolutionsBitIdentical) {
 
 TEST(FusionDifferential, GaussDpflSolutionsBitIdentical) {
   const auto off = with_fuse_mode(FuseMode::kOff, [] {
-    return apps::gauss_dpfl(4, 64, kGoldenSeed);
+    return apps::gauss_dpfl(4, 64, kSeed);
   });
   const auto on = with_fuse_mode(FuseMode::kOn, [] {
-    return apps::gauss_dpfl(4, 64, kGoldenSeed);
+    return apps::gauss_dpfl(4, 64, kSeed);
   });
   EXPECT_TRUE(bits_equal(off.x, on.x));
   EXPECT_LT(on.run.vtime_us, off.run.vtime_us);
@@ -180,19 +151,19 @@ TEST(FusionDifferential, GaussDpflSolutionsBitIdentical) {
 
 TEST(FusionDifferential, MatmulProductsBitIdentical) {
   const auto off = with_fuse_mode(FuseMode::kOff, [] {
-    return apps::matmul_skil(4, 64, kGoldenSeed);
+    return apps::matmul_skil(4, 64, kSeed);
   });
   const auto on = with_fuse_mode(FuseMode::kOn, [] {
-    return apps::matmul_skil(4, 64, kGoldenSeed);
+    return apps::matmul_skil(4, 64, kSeed);
   });
   EXPECT_TRUE(bits_equal(off.product.storage(), on.product.storage()));
   EXPECT_LT(on.run.vtime_us, off.run.vtime_us);
 
   const auto doff = with_fuse_mode(FuseMode::kOff, [] {
-    return apps::matmul_dpfl(4, 64, kGoldenSeed);
+    return apps::matmul_dpfl(4, 64, kSeed);
   });
   const auto don = with_fuse_mode(FuseMode::kOn, [] {
-    return apps::matmul_dpfl(4, 64, kGoldenSeed);
+    return apps::matmul_dpfl(4, 64, kSeed);
   });
   EXPECT_TRUE(bits_equal(doff.product.storage(), don.product.storage()));
   EXPECT_LT(don.run.vtime_us, doff.run.vtime_us);
@@ -223,19 +194,19 @@ TEST(FusionDifferential, CreateConstStoresEveryConstantsBits) {
 
 TEST(FusionDifferential, ShortestPathsDistancesBitIdentical) {
   const auto off = with_fuse_mode(FuseMode::kOff, [] {
-    return apps::shpaths_skil(4, 32, kGoldenSeed);
+    return apps::shpaths_skil(4, 32, kSeed);
   });
   const auto on = with_fuse_mode(FuseMode::kOn, [] {
-    return apps::shpaths_skil(4, 32, kGoldenSeed);
+    return apps::shpaths_skil(4, 32, kSeed);
   });
   EXPECT_TRUE(bits_equal(off.distances.storage(), on.distances.storage()));
   EXPECT_LT(on.run.vtime_us, off.run.vtime_us);
 
   const auto doff = with_fuse_mode(FuseMode::kOff, [] {
-    return apps::shpaths_dpfl(4, 32, kGoldenSeed);
+    return apps::shpaths_dpfl(4, 32, kSeed);
   });
   const auto don = with_fuse_mode(FuseMode::kOn, [] {
-    return apps::shpaths_dpfl(4, 32, kGoldenSeed);
+    return apps::shpaths_dpfl(4, 32, kSeed);
   });
   EXPECT_TRUE(
       bits_equal(doff.distances.storage(), don.distances.storage()));
@@ -244,10 +215,10 @@ TEST(FusionDifferential, ShortestPathsDistancesBitIdentical) {
   // The hand-written C program has no fusible composition: identical
   // vtimes, zero counters.
   const auto coff = with_fuse_mode(FuseMode::kOff, [] {
-    return apps::shpaths_c(4, 32, kGoldenSeed, true);
+    return apps::shpaths_c(4, 32, kSeed, true);
   });
   const auto con = with_fuse_mode(FuseMode::kOn, [] {
-    return apps::shpaths_c(4, 32, kGoldenSeed, true);
+    return apps::shpaths_c(4, 32, kSeed, true);
   });
   EXPECT_TRUE(
       bits_equal(coff.distances.storage(), con.distances.storage()));

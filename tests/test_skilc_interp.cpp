@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "parix/runtime.h"
-#include "parix_golden_cases.h"
 #include "skil/skil.h"
 #include "skilc/compiler.h"
 #include "skilc/interp.h"
+#include "with_knobs.h"
 
 namespace {
 

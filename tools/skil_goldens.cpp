@@ -1,146 +1,151 @@
-// skil-goldens: the full Table-2 grid's virtual times, pinned as data.
+// skil-goldens: every pinned virtual time, as data.
 //
-//   skil-goldens --check [--file=table2.json]
-//   skil-goldens --write [--file=table2.json]
+//   skil-goldens --check|--write [--file=tests/goldens/vtimes.json]
 //
-// Recomputes all 144 runs behind paper Table 2 -- Gauss as Skil, DPFL
-// and hand-written C, p in {4, 16, 32, 64} x n in {64, ..., 640}, no
-// pivoting, each with fusion off and on -- under the collective mode
-// the file records, each (fuse, p, n) cell in a forked worker, one
-// per hardware thread (bench/gauss_sweep.h).  Every run's final
-// virtual time is stored as a hexfloat string, so a 1-ulp drift is a
-// difference, together with its messages sent.
+// Reruns every run of tests/goldens/pinned_runs.h in forked workers
+// (bench/gauss_sweep.h), each under the fuse and coll modes its key
+// names.  The knobs that must not move a vtime come from the
+// environment (SKIL_ENGINE, SKIL_CARRIERS, SKIL_CHARGE, SKIL_TRACE,
+// SKIL_PROF); SKIL_CHARGE=interp rejects fusion by design, so under it
+// the fuse=on entries are skipped.  --check prints every value that
+// moved, even by one ulp (vtimes are hexfloat strings), as old -> new
+// with its relative change; --write rewrites the file.  Both fail when
+// a fuse=on entry lies above its fuse=off twin or a coll=auto entry
+// above its coll=tree twin.
 //
-// --check compares bit for bit and prints every moved run as
-// old -> new with its relative change; --write rewrites the file, which
-// makes a deliberate vtime move one command and a diff of the moved runs.
-//
-// Exit status: 0 all runs match (or the file was written), 1 some run
-// moved or the file lacks one, 2 usage or input failure.
-#include <algorithm>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
+// Exit status: 0 all runs match (or the file was written), 1 a value
+// moved, an entry is missing or extra, or a twin rule fails, 2 usage or
+// input failure.
+#include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
-#include <string>
 #include <thread>
-#include <vector>
 
 #include "gauss_sweep.h"
-#include "parix/charge_tape.h"
-#include "parix/coll.h"
+#include "goldens/pinned_runs.h"
 #include "support/cli.h"
-#include "support/error.h"
 #include "support/json.h"
 
 namespace {
 
 using namespace skil;
+namespace json = support::json;
+using Leaves = std::vector<std::pair<std::string, std::string>>;
+using Entries = std::map<std::string, const json::Value*>;
 
-constexpr std::uint64_t kSeed = 19960528;
-constexpr const char* kVariants[] = {"skil", "dpfl", "c"};
-constexpr parix::FuseMode kFuses[] = {parix::FuseMode::kOff,
-                                      parix::FuseMode::kOn};
-
-/// One (fuse, p, n) cell of the grid: its three variants' runs.
-struct Cell {
-  parix::FuseMode fuse;
-  bench::GaussCell runs;
-};
-
-/// The full grid under both fuse modes, one forked cell per hardware
-/// thread at a time (each fork inherits the fuse mode set before it).
-std::vector<Cell> run_grid() {
-  const int jobs =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  std::vector<Cell> cells;
-  for (parix::FuseMode fuse : kFuses) {
-    parix::set_default_fuse_mode(fuse);
-    for (const bench::GaussCell& runs : bench::run_gauss_grid_jobs(
-             bench::paper_ns(false), bench::paper_ps(), kSeed, jobs))
-      cells.push_back(Cell{fuse, runs});
-  }
-  return cells;
-}
-
+/// `v` as a JSON string holding its hexfloat.
 std::string hexfloat(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
+  std::snprintf(buf, sizeof buf, "\"%a\"", v);
   return buf;
 }
 
-/// The run's key as the file and the messages spell it.
-std::string run_key(const Cell& cell, int v) {
-  return std::string(kVariants[v]) + " p=" + std::to_string(cell.runs.p) +
-         " n=" + std::to_string(cell.runs.n) +
-         " fuse=" + std::string(parix::fuse_mode_name(cell.fuse));
-}
-
-void write_file(const std::string& path, parix::CollMode coll,
-                const std::vector<Cell>& cells) {
-  std::ofstream out(path);
-  SKIL_REQUIRE(out.good(), "cannot write '" + path + "'");
-  out << "{\n  \"about\": \"Paper Table 2 (Gauss, no pivoting, seed "
-      << kSeed << "): final virtual time (us, hexfloat) and messages sent"
-      << " of every run; regenerate with skil-goldens --write\",\n"
-      << "  \"coll\": \"" << parix::coll_mode_name(coll) << "\",\n"
-      << "  \"runs\": [\n";
-  for (std::size_t c = 0; c < cells.size(); ++c)
-    for (int v = 0; v < 3; ++v) {
-      const Cell& cell = cells[c];
-      out << "    {\"variant\": \"" << kVariants[v]
-          << "\", \"p\": " << cell.runs.p << ", \"n\": " << cell.runs.n
-          << ", \"fuse\": \"" << parix::fuse_mode_name(cell.fuse)
-          << "\", \"vtime_us\": \"" << hexfloat(cell.runs.vtime_us[v])
-          << "\", \"messages\": " << cell.runs.messages[v] << "}"
-          << (c + 1 == cells.size() && v == 2 ? "\n" : ",\n");
-    }
-  out << "  ]\n}\n";
-}
-
-/// Compares the grid with the file's runs; returns how many moved or
-/// are missing from either side.
-int check(const support::json::Value& doc, const std::vector<Cell>& cells) {
-  const auto& runs = doc.at("runs").array;
-  int bad = 0;
-  std::size_t matched = 0;
-  for (const Cell& cell : cells)
-    for (int v = 0; v < 3; ++v) {
-      const std::string key = run_key(cell, v);
-      const support::json::Value* pinned = nullptr;
-      for (const auto& run : runs)
-        if (run.at("variant").string == kVariants[v] &&
-            run.num("p") == cell.runs.p && run.num("n") == cell.runs.n &&
-            run.at("fuse").string == parix::fuse_mode_name(cell.fuse))
-          pinned = &run;
-      if (pinned == nullptr) {
-        std::printf("missing: %s is not in the file\n", key.c_str());
-        ++bad;
-        continue;
-      }
-      ++matched;
-      const std::string& text = pinned->at("vtime_us").string;
-      const double old_us = std::strtod(text.c_str(), nullptr);
-      const auto old_msgs =
-          static_cast<std::uint64_t>(pinned->num("messages"));
-      const double new_us = cell.runs.vtime_us[v];
-      const std::uint64_t new_msgs = cell.runs.messages[v];
-      if (text == hexfloat(new_us) && old_msgs == new_msgs) continue;
-      ++bad;
-      std::printf(
-          "moved: %s  vtime %s -> %s us (%.17g -> %.17g s, %+.3e rel)  "
-          "messages %llu -> %llu\n",
-          key.c_str(), text.c_str(), hexfloat(new_us).c_str(), old_us * 1e-6,
-          new_us * 1e-6, (new_us - old_us) / old_us,
-          static_cast<unsigned long long>(old_msgs),
-          static_cast<unsigned long long>(new_msgs));
-    }
-  if (matched != runs.size()) {
-    std::printf("extra: the file holds %zu runs the grid does not make\n",
-                runs.size() - matched);
-    ++bad;
+/// The run's entry: its key, vtime and messages sent, and for a small
+/// cell every processor's vtime and Stats.
+std::string measure(const goldens::PinnedRun& pinned) {
+  parix::set_default_fuse_mode(pinned.fuse);
+  parix::set_default_coll_mode(pinned.coll);
+  const parix::RunResult run = pinned.run();
+  std::ostringstream out;
+  out << "{" << pinned.key << ", \"vtime_us\": " << hexfloat(run.vtime_us)
+      << ", \"messages\": " << run.total.messages_sent;
+  const std::size_t procs = pinned.per_proc ? run.proc_stats.size() : 0;
+  for (std::size_t p = 0; p < procs; ++p) {
+    const parix::Stats& s = run.proc_stats[p];
+    out << (p == 0 ? ", \"procs\": [" : ",") << "\n      {\"vtime_us\": "
+        << hexfloat(run.proc_vtimes[p])
+        << ", \"compute_us\": " << hexfloat(s.compute_us)
+        << ", \"comm_us\": " << hexfloat(s.comm_us)
+        << ", \"messages_sent\": " << s.messages_sent
+        << ", \"bytes_sent\": " << s.bytes_sent
+        << ", \"messages_received\": " << s.messages_received
+        << ", \"bytes_received\": " << s.bytes_received << ", \"ops\": [";
+    for (int k = 0; k < parix::kOpKinds; ++k)
+      out << (k == 0 ? "" : ", ") << s.ops[k];
+    out << (p + 1 == procs ? "]}]" : "]}");
   }
+  out << "}";
+  return out.str();
+}
+
+/// Every leaf of `v` in file order as (path, text):
+/// ("procs[2].ops[0]", "1024").
+void flatten(const json::Value& v, const std::string& path, Leaves& out) {
+  for (const auto& [name, member] : v.object)
+    flatten(member, (path.empty() ? "" : path + ".") + name, out);
+  for (std::size_t i = 0; i < v.array.size(); ++i)
+    flatten(v.array[i], path + "[" + std::to_string(i) + "]", out);
+  if (v.is_object() || v.is_array()) return;
+  std::ostringstream number;
+  number << std::setprecision(17) << v.number;
+  out.emplace_back(path, v.kind == json::Value::Kind::kString
+                             ? v.string
+                             : number.str());
+}
+
+/// The entry's members before its vtime, as in
+/// "gauss skil p=4 n=64 fuse=off coll=auto".
+std::string key_of(const json::Value& entry) {
+  Leaves leaves;
+  flatten(entry, "", leaves);
+  std::string key;
+  for (const auto& [path, text] : leaves) {
+    if (path == "vtime_us") break;
+    key += (key.empty() ? "" : " ") +
+           (path == "app" || path == "variant" ? text : path + "=" + text);
+  }
+  return key;
+}
+
+/// Prints every value that differs between the two entries; returns
+/// how many do.
+int diff(const std::string& key, const json::Value& pinned,
+         const json::Value& fresh) {
+  Leaves was, now;
+  flatten(pinned, "", was);
+  flatten(fresh, "", now);
+  was.resize(std::max(was.size(), now.size()), {"", "(none)"});
+  now.resize(was.size(), {"", "(none)"});
+  int moved = 0;
+  for (std::size_t i = 0; i < was.size(); ++i) {
+    const std::string& a = was[i].second;
+    const std::string& b = now[i].second;
+    if (a == b) continue;
+    const std::string& name = (was[i].first.empty() ? now : was)[i].first;
+    const double x = std::strtod(a.c_str(), nullptr);
+    const double y = std::strtod(b.c_str(), nullptr);
+    std::printf("moved: %s  %s %s -> %s (%.17g -> %.17g, %+.3e rel)\n",
+                key.c_str(), name.c_str(), a.c_str(), b.c_str(), x, y,
+                (y - x) / x);
+    ++moved;
+  }
+  return moved;
+}
+
+/// Counts, naming each, the entries above their fuse=off or coll=tree
+/// twin.
+int twin_failures(const Entries& entries) {
+  int bad = 0;
+  for (const auto& [key, entry] : entries)
+    for (const auto& [mode, twin_mode] :
+         {std::pair{"fuse=on", "fuse=off"}, {"coll=auto", "coll=tree"}}) {
+      const std::size_t at = key.find(mode);
+      std::string twin = key;
+      const auto it = at == std::string::npos
+                          ? entries.end()
+                          : entries.find(twin.replace(
+                                at, std::string(mode).size(), twin_mode));
+      if (it == entries.end()) continue;
+      const std::string& vtime = entry->at("vtime_us").string;
+      const std::string& twin_vtime = it->second->at("vtime_us").string;
+      if (std::strtod(vtime.c_str(), nullptr) <=
+          std::strtod(twin_vtime.c_str(), nullptr))
+        continue;
+      std::printf("twin: %s  vtime %s is above its %s twin's %s\n",
+                  key.c_str(), vtime.c_str(), twin_mode, twin_vtime.c_str());
+      ++bad;
+    }
   return bad;
 }
 
@@ -151,35 +156,85 @@ int main(int argc, char** argv) try {
   const bool write = cli.get_bool("write");
   SKIL_REQUIRE(write != cli.get_bool("check"),
                "give exactly one of --check and --write");
-  const std::string path = cli.get("file", "tests/goldens/table2.json");
-
-  // The file pins its collective mode; --write pins the default one.
-  support::json::Value doc;
-  parix::CollMode coll = parix::default_coll_mode();
+  const std::string path = cli.get("file", "tests/goldens/vtimes.json");
+  const std::string dir = std::filesystem::path(path).parent_path();
+  const bool interp =
+      parix::default_charge_path() == parix::ChargePath::kInterp;
+  SKIL_REQUIRE(!write || !interp,
+               "--write needs SKIL_CHARGE=tape: interp rejects fusion");
+  SKIL_REQUIRE(!write || (::access(dir.empty() ? "." : dir.c_str(), W_OK) == 0
+                          && !std::filesystem::is_directory(path)),
+               "cannot write '" + path + "'");
+  json::Value doc;
   if (!write) {
     std::ifstream in(path);
     SKIL_REQUIRE(in.good(), "cannot read '" + path + "'");
     std::stringstream text;
     text << in.rdbuf();
-    doc = support::json::parse(text.str());
-    coll = parix::parse_coll_mode(doc.at("coll").string);
+    doc = json::parse(text.str());
   }
-  parix::set_default_coll_mode(coll);
 
-  const std::vector<Cell> cells = run_grid();
+  std::vector<goldens::PinnedRun> runs = goldens::pinned_runs();
+  std::erase_if(runs, [&](const goldens::PinnedRun& run) {
+    return interp && run.fuse == parix::FuseMode::kOn;
+  });
+  std::vector<std::string> keys;
+  for (const goldens::PinnedRun& run : runs)
+    keys.push_back(key_of(json::parse("{" + run.key + "}")));
+  const std::vector<std::string> texts = bench::run_forked(
+      runs.size(), static_cast<int>(std::thread::hardware_concurrency()),
+      [&](std::size_t i) { return measure(runs[i]); },
+      [&](std::size_t i) { return keys[i]; });
+  std::vector<json::Value> fresh;
+  for (const std::string& text : texts) fresh.push_back(json::parse(text));
+  Entries now, was;
+  for (std::size_t i = 0; i < fresh.size(); ++i) now[keys[i]] = &fresh[i];
+  if (!write)
+    for (const json::Value& entry : doc.at("runs").array)
+      was[key_of(entry)] = &entry;
+  int bad = twin_failures(write ? now : was);
+
   if (write) {
-    write_file(path, coll, cells);
-    std::printf("wrote %zu runs to %s\n", cells.size() * 3, path.c_str());
+    if (bad > 0) return 1;
+    std::ofstream out(path);
+    out << "{\n  \"about\": \"Every pinned virtual time (us, hexfloat) and "
+           "messages sent (tests/goldens/pinned_runs.h): Table 1 with seed "
+        << goldens::kTable1Seed << ", every other run with seed "
+        << goldens::kSeed << ". Rewrite with skil-goldens --write\",\n"
+        << "  \"runs\": [\n";
+    for (std::size_t i = 0; i < texts.size(); ++i)
+      out << "    " << texts[i] << (i + 1 == texts.size() ? "\n" : ",\n");
+    out << "  ]\n}\n";
+    SKIL_REQUIRE(out.good(), "cannot write '" + path + "'");
+    std::printf("wrote %zu runs to %s\n", texts.size(), path.c_str());
     return 0;
   }
-  const int bad = check(doc, cells);
-  if (bad == 0) {
-    std::printf("ok: all %zu runs match %s bit for bit\n", cells.size() * 3,
+  std::size_t skipped = 0;
+  for (const auto& [key, entry] : was) {
+    const auto it = now.find(key);
+    if (it != now.end()) {
+      bad += diff(key, *entry, *it->second);
+    } else if (interp && key.find("fuse=on") != std::string::npos) {
+      ++skipped;
+    } else {
+      std::printf("extra: no pinned run makes %s\n", key.c_str());
+      ++bad;
+    }
+  }
+  for (const auto& [key, unused] : now)
+    if (was.count(key) == 0) {
+      std::printf("missing: %s is not in the file\n", key.c_str());
+      ++bad;
+    }
+  if (skipped > 0)
+    std::printf("skipped %zu fuse=on entries: SKIL_CHARGE=interp rejects "
+                "fusion by design\n", skipped);
+  if (bad > 0)
+    std::printf("%d differences from %s\n", bad, path.c_str());
+  else
+    std::printf("ok: all %zu runs match %s bit for bit\n", runs.size(),
                 path.c_str());
-    return 0;
-  }
-  std::printf("%d runs differ from %s\n", bad, path.c_str());
-  return 1;
+  return bad > 0 ? 1 : 0;
 } catch (const skil::support::ContractError& err) {
   return skil::support::report_cli_error(argv[0], err);
 }
