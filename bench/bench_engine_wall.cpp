@@ -9,7 +9,7 @@
 // Usage: bench_engine_wall [--quick] [--json=path] [--out-dir=dir]
 //                          [--baseline=secs] [--baseline-note=text]
 //                          [--reps=N] [--jobs=N|auto]
-//                          [--carriers=N|auto] [--charge=interp|tape]
+//                          [--carriers=N|auto]
 //                          [--fuse=off|on] [--prof=off|counters]
 //                          [--coll=tree|ring|rd|auto]
 //                          [--engine=threads|pooled|both] [--trace-out=dir]
@@ -23,10 +23,7 @@
 // identical); --jobs=auto resolves to the host's hardware
 // concurrency.  --carriers pins the pooled engine's carrier-thread
 // count (exported as SKIL_CARRIERS so forked cell workers inherit
-// it); 'auto' resolves to hardware concurrency.  --charge selects the
-// accounting path of the skeleton hot loops (default: the process
-// default, i.e. SKIL_CHARGE or tape) -- both paths retire the
-// identical add chain, so it moves wall time only.
+// it); 'auto' resolves to hardware concurrency.
 // --fuse selects the skeleton fusion mode (charge_tape.h; default:
 // the process default, i.e. SKIL_FUSE or off) -- 'on' runs the fused
 // one-pass compositions, which lowers the *virtual* times too (the
@@ -49,9 +46,9 @@
 // (a bare --trace-out: --out-dir), which is made before the sweep.  A
 // path that cannot be written exits 2 naming it.
 //
-// The JSON report (default BENCH_engine.json, schema_version 10)
-// records the run configuration (reps, jobs, nproc, charge path,
-// fuse, prof and coll modes) and per-cell wall seconds + virtual
+// The JSON report (default BENCH_engine.json, schema_version 11)
+// records the run configuration (reps, jobs, nproc, fuse, prof and
+// coll modes) and per-cell wall seconds + virtual
 // times alongside both engines' totals, so EXPERIMENTS.md can cite the
 // engine speedup
 // from a committed artefact; scripts/bench_trajectory.sh appends runs
@@ -64,6 +61,8 @@
 // reads as a slowdown unless the provenance travels with it.
 //
 // Schema history:
+//   v11: one charge path (the tape) is left, so the record drops
+//       "charge" and fusion_counters drops "rejected_path".
 //   v10: nothing pools rotation buffers any more (the gen_mult
 //       rotations forward the buffer they receive), so the scheduler
 //       block drops its four buffer-pool fields: pool_acquires,
@@ -154,8 +153,7 @@ int main(int argc, char** argv) {
   const support::Cli cli =
       parse_cli(argc, argv, {"quick", "json", "out-dir", "baseline",
                              "baseline-note", "reps", "jobs", "carriers",
-                             "charge", "fuse", "prof", "coll", "engine",
-                             "trace-out"},
+                             "fuse", "prof", "coll", "engine", "trace-out"},
                 /*dir_flag=*/"trace-out");
   const bool quick = cli.get_bool("quick");
   const double baseline_s = apply_knob(cli, [&] {
@@ -186,14 +184,6 @@ int main(int argc, char** argv) {
   }
   const int carriers =
       apply_knob(cli, [] { return parix::executor_carriers(); });
-  if (cli.has("charge"))
-    apply_knob(cli, [&] {
-      parix::set_default_charge_path(
-          parix::parse_charge_path(cli.get("charge", "tape")));
-    });
-  const char* charge_name =
-      parix::default_charge_path() == parix::ChargePath::kTape ? "tape"
-                                                               : "interp";
   if (cli.has("fuse")) {
     // Exported as well as set in-process: the in-process slot is
     // inherited across fork by the cell workers, and the env var keeps
@@ -235,11 +225,10 @@ int main(int argc, char** argv) {
 
   banner("Execution engines -- wall clock on the Table 2 grid");
   std::printf("grid: n in {%d..%d}, p in {4, 16, 32, 64}; host threads: %u; "
-              "jobs: %d; carriers: %d; charge path: %s; fuse: %s; "
-              "prof: %s; coll: %s\n\n",
+              "jobs: %d; carriers: %d; fuse: %s; prof: %s; coll: %s\n\n",
               ns.front(), ns.back(), std::thread::hardware_concurrency(),
-              jobs, carriers, charge_name, fuse_name.c_str(),
-              prof_name.c_str(), coll_name.c_str());
+              jobs, carriers, fuse_name.c_str(), prof_name.c_str(),
+              coll_name.c_str());
 
   struct EngineRun {
     const char* name;
@@ -373,21 +362,20 @@ int main(int argc, char** argv) {
   if (FILE* out = std::fopen(path.c_str(), "w")) {
     std::fprintf(out,
                  "{\n"
-                 "  \"schema_version\": 10,\n"
+                 "  \"schema_version\": 11,\n"
                  "  \"benchmark\": \"bench_engine_wall\",\n"
                  "  \"grid\": \"table2_gauss%s\",\n"
                  "  \"reps\": %d,\n"
                  "  \"jobs\": %d,\n"
                  "  \"carriers\": %d,\n"
                  "  \"nproc\": %u,\n"
-                 "  \"charge\": \"%s\",\n"
                  "  \"fuse\": \"%s\",\n"
                  "  \"prof\": \"%s\",\n"
                  "  \"coll\": \"%s\",\n"
                  "  \"engines\": [\n",
                  quick ? "_quick" : "", reps, jobs, carriers,
-                 std::thread::hardware_concurrency(), charge_name,
-                 fuse_name.c_str(), prof_name.c_str(), coll_name.c_str());
+                 std::thread::hardware_concurrency(), fuse_name.c_str(),
+                 prof_name.c_str(), coll_name.c_str());
     for (std::size_t r = 0; r < runs.size(); ++r) {
       const EngineRun& run = runs[r];
       std::fprintf(out,
@@ -401,8 +389,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < run.cells.size(); ++i) {
         const GaussCell& cell = run.cells[i];
         // Virtual times at %.17g: full double round-trip precision, so
-        // two report files diff bit-identically (the CI settlement
-        // smoke compares interp vs tape reports this way).
+        // two report files diff bit-identically.
         std::fprintf(out,
                      "%s{\"p\": %d, \"n\": %d, \"wall_seconds\": %.3f, "
                      "\"skil_vtime_s\": %.17g, \"dpfl_vtime_s\": %.17g, "

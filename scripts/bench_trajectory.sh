@@ -4,8 +4,8 @@
 # Builds (if needed) and runs bench_engine_wall on the Table-2 sweep
 # under both execution engines, then appends the result as one compact
 # JSON record per line to BENCH_engine.json at the repo root.  Records
-# are schema_version 10: run config (reps, resolved jobs, carriers,
-# nproc, charge path, fuse mode, prof mode, coll mode), per-cell wall
+# are schema_version 11: run config (reps, resolved jobs, carriers,
+# nproc, fuse mode, prof mode, coll mode), per-cell wall
 # seconds and virtual times per engine, every repetition's wall time
 # ("rep_wall_seconds") plus its median, the settlement counters
 # (closed-form coverage), the fusion counters (compositions seen /
@@ -22,8 +22,6 @@
 # process-per-cell parallelism (auto = hardware concurrency),
 # --carriers=N|auto to pin the pooled engine's carrier threads
 # (exported as SKIL_CARRIERS so forked cell workers inherit it),
-# --charge=interp|tape to pin the accounting path (default: tape, the
-# specialized fast path; interp is the interpretive oracle),
 # --fuse=off|on to select the skeleton fusion mode (default: off;
 # exported as SKIL_FUSE -- record an off/on pair at the same config
 # for the EXPERIMENTS.md W6 same-build A/B), --prof and --coll as in
@@ -40,7 +38,6 @@
 #
 # Usage: scripts/bench_trajectory.sh [--quick] [--reps=N] [--jobs=N|auto]
 #                                    [--carriers=N|auto]
-#                                    [--charge=interp|tape]
 #                                    [--fuse=off|on]
 #                                    [--prof=off|counters]
 #                                    [--coll=tree|ring|rd|auto]

@@ -35,11 +35,12 @@ FIELDS_BY_VERSION = {
     8: ["coll"],    # also per-engine coll_counters (checked below)
     9: [],          # dropped "settle" and the retired fields below
     10: [],         # dropped the scheduler's buffer-pool fields
+    11: [],         # dropped "charge" and fusion's rejected_path
 }
 MAX_KNOWN_VERSION = max(FIELDS_BY_VERSION)
 
 # Fields a later version dropped: field -> first version without it.
-RETIRED_FIELDS = {"settle": 9}
+RETIRED_FIELDS = {"settle": 9, "charge": 11}
 
 # The settlement-counter fields every v5+ engine record must account
 # for (bench/bench_engine_wall.cpp schema history).
@@ -59,9 +60,13 @@ RETIRED_SCHEDULER_FIELDS = 5
 # An off-mode record carries them too (all zero): their presence is
 # what lets an off/on A/B pair be diffed mechanically.
 FUSION_COUNTER_FIELDS = [
-    "seen", "fused", "rejected_shape", "rejected_order", "rejected_path",
+    "seen", "fused", "rejected_shape", "rejected_order",
     "barriers_eliminated", "tapes_eliminated",
 ]
+
+# v6-v10 records also count the compositions the retired interpretive
+# charge path rejected.
+RETIRED_FUSION_FIELDS = ["rejected_path"]
 
 # The collective-counter structure every v8+ engine record must carry:
 # one object per collective op, each accounting per-algorithm calls
@@ -146,10 +151,11 @@ def validate_record(path, lineno, record):
             if not isinstance(fusion, dict):
                 fail(path, lineno,
                      "v6+ engine record is missing 'fusion_counters'")
-            for field in FUSION_COUNTER_FIELDS:
+            retired = RETIRED_FUSION_FIELDS if version <= 10 else []
+            for field in FUSION_COUNTER_FIELDS + retired:
                 if field not in fusion:
                     fail(path, lineno,
-                         f"v6+ fusion_counters is missing '{field}'")
+                         f"v{version} fusion_counters is missing '{field}'")
             if record.get("fuse") == "off" and fusion.get("fused", 0) != 0:
                 fail(path, lineno,
                      "fuse=off record reports fused compositions -- the "

@@ -39,8 +39,8 @@ int gauss_round_up(int n, int nprocs) {
 namespace {
 
 // Row kernels of the three Gauss phases, each written once for Skil and
-// DPFL.  The tape path runs every kernel in place, fused or not; fusion
-// picks only the charges (DESIGN.md section 13).  So a kernel has
+// DPFL.  Every kernel runs in place, fused or not; fusion picks only
+// the charges (DESIGN.md section 13).  So a kernel has
 // array_map_taped's row-run signature but is called with src == dst: it
 // rewrites the active elements of one row run x[0..count), starting at
 // global column c0, leaves the rest as they are and returns the active
@@ -154,9 +154,9 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
   GaussResult result;
   parix::RunConfig config{nprocs, cost};
 
-  // The paper's customizing argument functions, written as the
-  // free-standing functions the Skil program uses and supplied to the
-  // skeletons via partial application.
+  // The paper's customizing argument functions of the pivot search,
+  // written as the free-standing functions the Skil program uses and
+  // supplied to the skeletons via partial application.
   auto make_elemrec = [](double v, Index ix) {
     return ElemRec{v, ix[0], ix[1]};
   };
@@ -175,39 +175,13 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
     if (row == r2) return r1;
     return row;
   };
-  auto copy_pivot = [](const DistArray<double>& b, int k, double v,
-                       Index ix) {
-    // If this processor's partition of b contains the pivot row,
-    // return its (normalised) element for the piv row; otherwise keep
-    // the old value.
-    const Bounds bds = b.part_bounds();
-    if (bds.lower[0] <= k && k < bds.upper[0]) {
-      b.proc().charge(parix::Op::kFloatOp);  // the division
-      return b.get_elem(Index{k, ix[1]}) / b.get_elem(Index{k, k});
-    }
-    return v;
-  };
-  auto eliminate = [](int k, const DistArray<double>& b,
-                      const DistArray<double>& piv, double v, Index ix) {
-    if (ix[0] == k || ix[1] < k) return v;
-    const int my_piv_row = piv.part_bounds().lower[0];
-    b.proc().charge(parix::Op::kFloatOp, 2);  // multiply and subtract
-    return v - b.get_elem(Index{ix[0], k}) *
-                   piv.get_elem(Index{my_piv_row, ix[1]});
-  };
-  auto normalize = [](const DistArray<double>& a, int last_col, double v,
-                      Index ix) {
-    if (ix[1] != last_col) return v;
-    a.proc().charge(parix::Op::kFloatOp);
-    return v / a.get_elem(Index{ix[0], ix[0]});
-  };
 
-  // Charge tapes of the three customizing functions above: the exact
-  // per-active-element charge sequence each interpretive body books
-  // (tests/test_parix_charge_tape.cpp pins the two paths bit-for-bit).
-  // Both operands of the interp bodies' binary expressions charge the
-  // identical (kFloatOp, 1), so their unspecified evaluation order
-  // cannot move the chain.
+  // Charge tapes of the program's three element functions: what each
+  // books per active element, its arithmetic and then its
+  // array_get_elem reads.  copy_pivot divides a pivot-row element by
+  // the diagonal; eliminate subtracts the row's column-k factor times
+  // the pivot row's element; normalize divides the right-hand side by
+  // the diagonal.
   //
   // Built once here and never mutated, each tape keeps one stable
   // identity (ChargeTape::id) across every elimination step's replay
@@ -215,19 +189,18 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
   // reuse one probed period delta for the whole sweep instead of
   // re-probing per replay.  Rebuilding a tape inside the step loop
   // would still be bit-exact, just memo-cold (fresh id per replay).
-  const bool taped =
-      parix::default_charge_path() == parix::ChargePath::kTape;
-  parix::ChargeTape pivot_tape;   // the division, then two get_elem reads
+  using Array = DistArray<double>;
+  parix::ChargeTape pivot_tape;   // the division, then two reads
   pivot_tape.charge(parix::Op::kFloatOp);
-  pivot_tape.charge(parix::Op::kFloatOp);
-  pivot_tape.charge(parix::Op::kFloatOp);
+  Array::append_get_elem_charges(pivot_tape);
+  Array::append_get_elem_charges(pivot_tape);
   parix::ChargeTape elim_tape;    // multiply+subtract, then two reads
   elim_tape.charge(parix::Op::kFloatOp, 2);
-  elim_tape.charge(parix::Op::kFloatOp);
-  elim_tape.charge(parix::Op::kFloatOp);
+  Array::append_get_elem_charges(elim_tape);
+  Array::append_get_elem_charges(elim_tape);
   parix::ChargeTape norm_tape;    // the division, then one read
   norm_tape.charge(parix::Op::kFloatOp);
-  norm_tape.charge(parix::Op::kFloatOp);
+  Array::append_get_elem_charges(norm_tape);
 
   result.run = parix::spmd_run(config, [&](parix::Proc& proc) {
     auto init_f = [&](Index ix) { return entry(ix[0], ix[1]); };
@@ -236,17 +209,17 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
     const Size block{rows_per_proc, size + 1};
 
     // a, b: size x (size+1); piv: p x (size+1), one row per processor.
-    // The tape path maps in place on `a` and reads `b` only after a
-    // permuting step; elsewhere b's creation and copies are charged,
-    // not performed (DESIGN.md section 8).
+    // Every phase maps in place on `a`, so only a pivoting run, whose
+    // row swaps permute into `b`, creates `b`; elsewhere b's creation
+    // and copies are charged, not performed (DESIGN.md section 8).
     DistArray<double> a = array_create<double>(
         proc, 2, shape, block, Index{-1, -1}, init_f, parix::Distr::kDefault);
     DistArray<double> b;
-    if (taped && !pivoting)
-      detail::create_pass<double>(proc, a.local().size(), [] {});
-    else
+    if (pivoting)
       b = array_create<double>(proc, 2, shape, block, Index{-1, -1}, zero,
                                parix::Distr::kDefault);
+    else
+      detail::create_pass<double>(proc, a.local().size(), [] {});
     DistArray<double> piv = array_create<double>(
         proc, 2, Size{nprocs, size + 1}, Size{1, size + 1}, Index{-1, -1},
         zero, parix::Distr::kDefault);
@@ -254,14 +227,11 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
     // Fusion (DESIGN.md section 13): the step's copy|pivot|eliminate
     // composition is charged as one region pass over `a`, eliding the
     // copy into `b`, the non-owner pivot maps and the inactive
-    // elimination tail.  Requires the tape charge path.
-    const bool fuse_on = proc.fuse_mode() == parix::FuseMode::kOn;
+    // elimination tail.
     const bool fusing = proc.fusing();
 
     for (int k = 0; k < size; ++k) {
       const parix::TraceSpan step(proc, "gauss pivot round", k);
-      if (fuse_on && !fusing)
-        proc.fusion().note_rejected(parix::FusionReject::kPath);
       bool step_fused = fusing;
       bool copy = !fusing;  // the program's array_copy(a, b)
       if (pivoting) {
@@ -271,52 +241,37 @@ GaussResult gauss_skil_impl(int nprocs, int size, EntryFn&& entry,
           throw support::AppError("Matrix is singular");
         if (e.row != k) {
           // The row swap moves rows between partitions: the step runs
-          // unfused (kShape), permuting into `b`, and the tape path then
-          // maps the permuted rows in place.
+          // unfused (kShape), permuting into `b`, and the phases then
+          // map the permuted rows in place.
           if (fusing)
             proc.fusion().note_rejected(parix::FusionReject::kShape);
           step_fused = copy = false;
           array_permute_rows(a, partial(switch_rows, e.row, k), b);
-          if (taped) std::swap(a, b);
+          std::swap(a, b);
         }
       }
-      if (copy && taped)
-        detail::copy_pass<double>(proc, a.local().size(), [] {});
-      else if (copy)
-        array_copy(a, b);
-      // copy_pivot reads the pivot row from `b`, the tape path from
-      // `a`, which holds the same values.  Fused, non-owners book
-      // nothing: the broadcast below overwrites their writes.
-      if (taped)
-        skil_phase(step_fused, pivot_kernel(owned_row(a, k), k), pivot_tape,
-                   piv, /*owner_only=*/true);
-      else
-        array_map(partial(copy_pivot, std::cref(b), k), piv, piv);
+      if (copy) detail::copy_pass<double>(proc, a.local().size(), [] {});
+      // copy_pivot reads the pivot row from `a`, which holds the values
+      // the program's copy `b` would.  Fused, non-owners book nothing:
+      // the broadcast below overwrites their writes.
+      skil_phase(step_fused, pivot_kernel(owned_row(a, k), k), pivot_tape,
+                 piv, /*owner_only=*/true);
       array_broadcast_part(piv, Index{k / rows_per_proc, 0});
       // Elimination.  In place, the factor is still the pre-update
       // a[i][k], and prow[k] == krow[k]/krow[k] == 1.0 exactly, so the
-      // j == k update lands on the bits the map from `b` writes.
-      if (taped) {
-        skil_phase(step_fused, eliminate_kernel(piv.local().data(), k),
-                   elim_tape, a);
-        if (step_fused) proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
-      } else {
-        array_map(partial(eliminate, k, std::cref(b), std::cref(piv)), b, a);
-      }
+      // j == k update lands on the bits the program's map from `b`
+      // writes.
+      skil_phase(step_fused, eliminate_kernel(piv.local().data(), k),
+                 elim_tape, a);
+      if (step_fused) proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
     }
-    if (fuse_on && !fusing)
-      proc.fusion().note_rejected(parix::FusionReject::kPath);
     // normalize|gather: the program maps `a` into `b` and gathers `b`;
-    // the tape path divides in place (the diagonal sits left of the
-    // written column) and gathers `a`.
-    if (taped) {
-      skil_phase(fusing, normalize_kernel, norm_tape, a);
-      if (fusing) proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
-    } else {
-      array_map(partial(normalize, std::cref(a), size), a, b);
-    }
+    // in place the division reads the diagonal, left of the written
+    // column, and the gather reads `a`.
+    skil_phase(fusing, normalize_kernel, norm_tape, a);
+    if (fusing) proc.fusion().note_fused(/*barriers=*/0, /*tapes=*/1);
 
-    const std::vector<double> solved = array_gather_root(taped ? a : b);
+    const std::vector<double> solved = array_gather_root(a);
     if (proc.id() == 0) {
       result.x.resize(size);
       for (int i = 0; i < size; ++i)
@@ -359,11 +314,9 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
   GaussResult result;
   parix::RunConfig config{nprocs, cost};
 
-  // DPFL charge tapes, recorded through the same sink-templated
-  // helpers the interpretive closure bodies charge through (fn.h,
-  // farray.h), so the sequences cannot drift apart.
-  const bool taped =
-      parix::default_charge_path() == parix::ChargePath::kTape;
+  // DPFL charge tapes of the program's three closures (as in
+  // gauss_skil_impl), recorded through the sink-templated helpers that
+  // boxed arithmetic and fa_get_elem charge through (fn.h, farray.h).
   using DArray = dpfl::FArray<double>;
   parix::ChargeTape pivot_tape;  // boxed division + two boxed reads
   dpfl::charge_boxed_arith(pivot_tape, 1);
@@ -397,68 +350,22 @@ GaussResult gauss_dpfl(int nprocs, int n, std::uint64_t seed,
     // a fresh partition per map; fused, the intermediate provably has
     // no other observer (use_count == 1), so the update is charged as
     // in place over the active region -- functional deforestation.
-    const bool fuse_on = proc.fuse_mode() == parix::FuseMode::kOn;
     const bool fusing = proc.fusing();
 
     for (int k = 0; k < size; ++k) {
       const parix::TraceSpan step(proc, "gauss pivot round", k);
-      if (fuse_on && !fusing)
-        proc.fusion().note_rejected(parix::FusionReject::kPath);
       // copy_pivot: normalised pivot-row elements into this
       // processor's piv row when it owns the pivot row.
-      if (taped) {
-        piv = dpfl_phase(fusing, pivot_kernel(owned_row(a, k), k),
-                         pivot_tape, std::move(piv), /*owner_only=*/true);
-      } else {
-        const Closure<double(double, Index)> copy_pivot(
-            proc, [&a, k, &proc](double v, Index ix) {
-              const Bounds bds = a.part_bounds();
-              if (bds.lower[0] <= k && k < bds.upper[0]) {
-                dpfl::charge_boxed_arith(proc, 1);
-                return a.get_elem(Index{k, ix[1]}) / a.get_elem(Index{k, k});
-              }
-              return v;
-            });
-        piv = dpfl::fa_map(copy_pivot, piv);
-      }
+      piv = dpfl_phase(fusing, pivot_kernel(owned_row(a, k), k), pivot_tape,
+                       std::move(piv), /*owner_only=*/true);
       piv = dpfl::fa_broadcast_part(piv, Index{k / rows_per_proc, 0});
-
-      // Elimination (bit-identity as in gauss_skil_impl).  The interp
-      // body's `source` alias pins the old partition and forces a fresh
-      // one; the tape path creates no alias.
-      if (taped) {
-        a = dpfl_phase(fusing, eliminate_kernel(piv.local().data(), k),
-                       elim_tape, std::move(a));
-      } else {
-        const FArray<double> source = a;
-        const FArray<double> pivot_rows = piv;
-        const Closure<double(double, Index)> eliminate(
-            proc, [source, pivot_rows, k, &proc](double v, Index ix) {
-              if (ix[0] == k || ix[1] < k) return v;
-              const int my_piv_row = pivot_rows.part_bounds().lower[0];
-              dpfl::charge_boxed_arith(proc, 2);
-              return v - source.get_elem(Index{ix[0], k}) *
-                             pivot_rows.get_elem(Index{my_piv_row, ix[1]});
-            });
-        a = dpfl::fa_map(eliminate, a);
-      }
+      // Elimination (bit-identity as in gauss_skil_impl).
+      a = dpfl_phase(fusing, eliminate_kernel(piv.local().data(), k),
+                     elim_tape, std::move(a));
     }
 
-    if (fuse_on && !fusing)
-      proc.fusion().note_rejected(parix::FusionReject::kPath);
     // normalize: the right-hand-side column over the diagonal.
-    if (taped) {
-      a = dpfl_phase(fusing, normalize_kernel, norm_tape, std::move(a));
-    } else {
-      const FArray<double> final_a = a;
-      const Closure<double(double, Index)> normalize(
-          proc, [final_a, size, &proc](double v, Index ix) {
-            if (ix[1] != size) return v;
-            dpfl::charge_boxed_arith(proc, 1);
-            return v / final_a.get_elem(Index{ix[0], ix[0]});
-          });
-      a = dpfl::fa_map(normalize, a);
-    }
+    a = dpfl_phase(fusing, normalize_kernel, norm_tape, std::move(a));
 
     std::vector<double> flat = dpfl::fa_gather_root(a);
     if (proc.id() == 0) {

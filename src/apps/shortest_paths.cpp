@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "dpfl/dpfl.h"
-#include "parix/charge_tape.h"
 #include "parix/collectives.h"
 #include "skil/skil.h"
 
@@ -121,23 +120,17 @@ ShpathsResult shpaths_dpfl(int nprocs, int n, std::uint64_t seed,
         proc, 2, Size{size, size}, init_f, parix::Distr::kTorus2D);
 
     const int iterations = squaring_iterations(size);
-    const bool taped =
-        parix::default_charge_path() == parix::ChargePath::kTape;
     for (int i = 0; i < iterations; ++i) {
       const parix::TraceSpan step(proc, "shpaths squaring", i);
       // Immutability: the functional version squares a directly into a
       // fresh array (no copy-to-b dance, but every round allocates).
-      // The tape path inlines the combines into the multiply loop; the
-      // gen_add/gen_mult Closures above are still constructed, so the
-      // closure-record allocations charge identically, and the
-      // skeleton's bulk per-round charges are unchanged.
-      if (taped)
-        a = dpfl::fa_gen_mult_taped(
-            a, a,
-            [](std::uint32_t x, std::uint32_t y) { return std::min(x, y); },
-            [](std::uint32_t x, std::uint32_t y) { return dist_add(x, y); });
-      else
-        a = dpfl::fa_gen_mult(a, a, gen_add, gen_mult);
+      // The combines inline into the multiply loop; the gen_add and
+      // gen_mult Closures above charge the program's closure records,
+      // and the skeleton books its bulk per-round charges.
+      a = dpfl::fa_gen_mult_taped(
+          a, a,
+          [](std::uint32_t x, std::uint32_t y) { return std::min(x, y); },
+          [](std::uint32_t x, std::uint32_t y) { return dist_add(x, y); });
     }
 
     std::vector<std::uint32_t> flat = dpfl::fa_gather_root(a);

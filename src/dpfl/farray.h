@@ -129,8 +129,8 @@ class FArray {
   }
 
   /// Appends the exact charge sequence of one get_elem to `sink`
-  /// (the single source of truth: the interpretive path charges
-  /// through this with sink = Proc).
+  /// (the single source of truth: get_elem charges through this with
+  /// sink = Proc, and the taped maps' tapes are recorded with it).
   template <class Sink>
   static void append_get_elem_charges(Sink& sink) {
     sink.charge(op_kind<T>());
@@ -529,8 +529,6 @@ FArray<T> fa_gen_mult_impl(const FArray<T>& a, const FArray<T>& b,
   if (proc.fusing())
     proc.fusion().note_fused(/*barriers=*/0,
                              /*tapes=*/static_cast<std::uint64_t>(q - 1));
-  else if (proc.fuse_mode() == parix::FuseMode::kOn)
-    proc.fusion().note_rejected(parix::FusionReject::kPath);
 
   return FArray<T>(proc, a.dist_ptr(), std::move(c_block));
 }

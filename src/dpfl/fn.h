@@ -23,8 +23,8 @@
 namespace skil::dpfl {
 
 // The charge helpers are templated over a charge Sink -- parix::Proc
-// (the interpretive path charges the clock directly) or
-// parix::ChargeTape (the tape path records the identical sequence once
+// (a closure application charges the clock directly) or
+// parix::ChargeTape (a taped map records the identical sequence once
 // and replays it).  One definition serves both, so the sequences
 // cannot drift apart.
 

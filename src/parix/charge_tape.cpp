@@ -12,17 +12,6 @@ namespace skil::parix {
 
 namespace {
 
-ChargePath initial_default_charge_path() {
-  if (const char* env = std::getenv("SKIL_CHARGE"))
-    return parse_charge_path(env);
-  return ChargePath::kTape;
-}
-
-ChargePath& default_charge_path_slot() {
-  static ChargePath path = initial_default_charge_path();
-  return path;
-}
-
 FuseMode initial_default_fuse_mode() {
   if (const char* env = std::getenv("SKIL_FUSE"))
     return parse_fuse_mode(env);
@@ -35,20 +24,6 @@ FuseMode& default_fuse_mode_slot() {
 }
 
 }  // namespace
-
-ChargePath parse_charge_path(std::string_view name) {
-  static constexpr std::string_view kNames[] = {"interp", "tape"};
-  static_assert(static_cast<int>(ChargePath::kInterp) == 0 &&
-                static_cast<int>(ChargePath::kTape) == 1);
-  return support::parse_knob<ChargePath>("SKIL_CHARGE", "charge path", name,
-                                         kNames);
-}
-
-ChargePath default_charge_path() { return default_charge_path_slot(); }
-
-void set_default_charge_path(ChargePath path) {
-  default_charge_path_slot() = path;
-}
 
 FuseMode parse_fuse_mode(std::string_view name) {
   static constexpr std::string_view kNames[] = {"off", "on"};
@@ -370,7 +345,6 @@ void FusionCounters::note_rejected(FusionReject reason) {
   switch (reason) {
     case FusionReject::kShape: ++rejected_shape; break;
     case FusionReject::kOrder: ++rejected_order; break;
-    case FusionReject::kPath: ++rejected_path; break;
   }
 }
 

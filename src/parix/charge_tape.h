@@ -17,15 +17,13 @@
 // the clock lands on bit-identical values -- and books the per-op
 // counts as one batched integer update per tape entry.
 //
-// Building tapes reuses the same charge-helper functions the
-// interpretive path calls (they are templated over a "charge sink":
-// a Proc or a ChargeTape), so the two paths cannot drift apart
-// silently; tests/test_parix_charge_tape.cpp additionally pins them
-// bit-for-bit against each other on every golden cell.
-//
-// The interpretive path stays compiled in as a differential oracle:
-// SKIL_CHARGE=interp|tape (or set_default_charge_path) selects which
-// one the applications' hot loops take.
+// Tapes are recorded through the same charge helpers the element
+// accessors charge through (templated over a "charge sink": a Proc or
+// a ChargeTape; e.g. DistArray::append_get_elem_charges), so a tape
+// cannot drift from the accesses it stands for.  Every application
+// hot loop takes the tape: tests/goldens/vtimes.json pins the virtual
+// times it produces, and tests/test_parix_settle_fuzz.cpp holds the
+// taped maps to the closure skeletons (array_map, fa_map).
 //
 // Settlement of the deferred ledger is algebraic (DESIGN.md section
 // 12): a replay record's per-period clock delta, measured in ulps of
@@ -49,22 +47,14 @@
 
 namespace skil::parix {
 
-/// Which accounting path the skeleton/application hot loops take.
+/// The accounting path of the hot loops.  There is one, the tape; the
+/// names survive only for perfbench/skilbench.cpp, their one reader,
+/// which records the path in its config line.
 enum class ChargePath {
-  kInterp,  ///< per-element charge() calls through the interpretive models
-  kTape,    ///< recorded addend sequence replayed by Proc::replay
+  kTape,  ///< recorded addend sequence replayed by Proc::replay
 };
 
-/// Process-wide default charge path: kTape, overridable with the
-/// SKIL_CHARGE environment variable ("interp" / "tape") or
-/// set_default_charge_path.  Unknown SKIL_CHARGE values fail loudly.
-ChargePath default_charge_path();
-void set_default_charge_path(ChargePath path);
-
-/// Strict switch parsers (shared by the environment readers and unit
-/// tests): unknown names raise ContractError listing the accepted
-/// values instead of silently falling back to a default.
-ChargePath parse_charge_path(std::string_view name);
+inline ChargePath default_charge_path() { return ChargePath::kTape; }
 
 /// How ChargeLedger settlement retires the dependent FP-add chain.
 /// There is one way; the name survives so reports can record it.
@@ -109,8 +99,6 @@ enum class FusionReject {
            ///< so the in-place fused elimination would read moved data)
   kOrder,  ///< the combine is not order-exact (FP fold through a different
            ///< merge order would move result bits; ints/min/max are exact)
-  kPath,   ///< the interpretive charge path is active (fused variants are
-           ///< taped; SKIL_CHARGE=interp keeps the oracle unfused)
 };
 
 /// Fusion counters of one processor, summed into RunResult::fusion:
@@ -124,7 +112,6 @@ struct FusionCounters {
   std::uint64_t fused = 0;
   std::uint64_t rejected_shape = 0;
   std::uint64_t rejected_order = 0;
-  std::uint64_t rejected_path = 0;
   std::uint64_t barriers_eliminated = 0;
   std::uint64_t tapes_eliminated = 0;
 
@@ -133,13 +120,12 @@ struct FusionCounters {
       {"fused", &FusionCounters::fused},
       {"rejected_shape", &FusionCounters::rejected_shape},
       {"rejected_order", &FusionCounters::rejected_order},
-      {"rejected_path", &FusionCounters::rejected_path},
       {"barriers_eliminated", &FusionCounters::barriers_eliminated},
       {"tapes_eliminated", &FusionCounters::tapes_eliminated},
   };
 
   std::uint64_t rejected() const {
-    return rejected_shape + rejected_order + rejected_path;
+    return rejected_shape + rejected_order;
   }
 
   /// Notes one composition that fused, eliminating `barriers` collective
@@ -154,7 +140,7 @@ struct FusionCounters {
 };
 
 /// One element's recorded charge sequence: op kinds and counts in the
-/// exact order the interpretive path would charge them.
+/// exact order the program's customizing function charges them.
 ///
 /// Tapes carry a process-unique identity (`id()`): because a tape is
 /// append-only, (id, entry count) names one immutable entry prefix for

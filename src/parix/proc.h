@@ -116,8 +116,9 @@ class Proc {
     charge_deferred(kind, elems * ops_per_elem);
   }
 
-  /// Folds any deferred replays into the clock.  One untaken branch on
-  /// the hot interpretive path (the ledger stays empty there).
+  /// Folds any deferred replays into the clock.  One untaken branch
+  /// when nothing is deferred (the ledger stays empty between a
+  /// settlement and the next replay).
   void maybe_settle() {
     if (!ledger_.empty()) [[unlikely]] settle_pending();
   }
@@ -229,7 +230,6 @@ class Proc {
   /// goldens); kOn lets the apps/combinators take the one-pass fused
   /// taped variants (same array results, lower vtimes).
   void set_fuse_mode(FuseMode mode) { fuse_mode_ = mode; }
-  FuseMode fuse_mode() const { return fuse_mode_; }
 
   /// Selects which collective-algorithm family this processor's
   /// collectives use (parix/coll.h; DESIGN.md section 15).  Set by
@@ -260,15 +260,8 @@ class Proc {
                            [&] { return machine_->coll_pick(key, compute); });
   }
 
-  /// True when a fused taped variant may run: fusion is requested AND
-  /// the taped charge path is active.  The fused loops replay fused
-  /// tapes, so the interpretive oracle (SKIL_CHARGE=interp) always
-  /// runs unfused -- callers seeing fuse-on with interp should count
-  /// a FusionReject::kPath instead.
-  bool fusing() const {
-    return fuse_mode_ == FuseMode::kOn &&
-           default_charge_path() == ChargePath::kTape;
-  }
+  /// True when the fused taped variants may run (FuseMode::kOn).
+  bool fusing() const { return fuse_mode_ == FuseMode::kOn; }
 
   /// Opens an app/skeleton-level trace span (a point event on both
   /// timelines; see TraceSpan for the RAII pairing).  With tracing off

@@ -7,7 +7,7 @@
 // hot path.  Each event carries both timelines:
 //
 //  * virtual microseconds (from Proc's deterministic clock) -- the
-//    scientific artefact, bit-identical across engines, charge paths
+//    scientific artefact, bit-identical across engines, carrier counts
 //    and trace modes;
 //  * host wall nanoseconds since the run's epoch -- informational
 //    (where the *host* spends its time), never fed back into any
@@ -18,10 +18,10 @@
 // individual sends/receives are slices priced by the message layer;
 // and the virtual time that accumulates between two recorded points is
 // flushed as one "compute" slice when the next event arrives, so the
-// trace stays compact no matter how many per-element charges the
-// interpretive accounting path books.  charge()/charge_elems/replay
-// themselves are NEVER instrumented: the clock-advancing hot loops run
-// exactly the code they run untraced.
+// trace stays compact no matter how many charges a skeleton books
+// between two of them.  charge()/charge_elems/replay themselves are
+// NEVER instrumented: the clock-advancing hot loops run exactly the
+// code they run untraced.
 //
 // Invariant (DESIGN.md section 9): tracing must not perturb virtual
 // time.  The recorder only *reads* vtime; with SKIL_TRACE=off the only
@@ -51,7 +51,7 @@ enum class TraceMode { kOff, kSpans, kFull };
 /// Process-wide default trace mode: kOff, overridable with the
 /// SKIL_TRACE environment variable ("off" / "spans" / "full") or
 /// set_default_trace_mode.  Unknown SKIL_TRACE values fail loudly
-/// (ContractError), like SKIL_ENGINE and SKIL_CHARGE.
+/// (ContractError), like SKIL_ENGINE and SKIL_FUSE.
 TraceMode default_trace_mode();
 void set_default_trace_mode(TraceMode mode);
 

@@ -94,12 +94,20 @@ class DistArray {
   /// The paper's array_get_elem macro: reads a *local* element.
   T get_elem(const Index& ix) const {
     if (block_ && bounds_.contains(ix, dims_)) [[likely]] {
-      proc_->charge(op_kind<T>());
+      append_get_elem_charges(*proc_);
       return local_[local_offset_fast(ix)];
     }
     check_local(ix);  // throws for non-local / invalid; cyclic falls through
-    proc_->charge(op_kind<T>());
+    append_get_elem_charges(*proc_);
     return local_[dist_->local_offset(my_vrank_, ix)];
+  }
+
+  /// Appends the charge sequence of one get_elem to `sink` (a Proc or
+  /// a ChargeTape): get_elem charges through this, and the taped maps'
+  /// tapes are recorded with it.
+  template <class Sink>
+  static void append_get_elem_charges(Sink& sink) {
+    sink.charge(op_kind<T>());
   }
 
   /// The paper's array_put_elem macro: overwrites a *local* element.

@@ -98,8 +98,6 @@ DistArray<T> array_create_const(parix::Proc& proc, int dim, Size size,
   if constexpr (std::is_floating_point_v<T>) store |= std::signbit(value);
   if (store) std::fill(local.begin(), local.end(), value);
   if (!proc.fusing()) {
-    if (proc.fuse_mode() == parix::FuseMode::kOn)
-      proc.fusion().note_rejected(parix::FusionReject::kPath);
     detail::create_pass<T>(proc, local.size(), [] {});
     return a;
   }

@@ -143,24 +143,21 @@ std::pair<SharedBlock<T>, SharedBlock<T>> gen_mult_rounds(
   // result (FP rounding included) is bit-identical to the naive loop.
   constexpr int kTileCols = 64;
 
-  // Every round books the same three bulk charges; the tape path
-  // records them once and replays the tape per round.  No virtual-time
-  // event separates the interp path's pre-compute kCopyWord charge
-  // from its post-compute charges (the compute loop charges nothing),
-  // so replaying all three after the compute walks the identical
-  // dependent FP-add chain (DESIGN.md section 8).  Recorded once
-  // before the round loop, the tape also keeps one identity across
-  // all q replays, so rounds past the first settle off the memoized
-  // period delta instead of re-probing (DESIGN.md section 12).
+  // Every round books the same three bulk charges, recorded once here
+  // and replayed per round: the rotations' send-buffer copies, then
+  // two functional-argument calls and two element operations per
+  // fused multiply-add, as the instantiated Skil code would execute.
+  // The compute loop charges nothing, so booking the copies after it
+  // walks the same dependent FP-add chain as booking them at the send
+  // (DESIGN.md section 8).  Recorded once before the round loop, the
+  // tape keeps one identity across all q replays, so rounds past the
+  // first settle off the memoized period delta instead of re-probing
+  // (DESIGN.md section 12).
   const std::uint64_t fused = static_cast<std::uint64_t>(block) * block * block;
-  const bool taped = parix::default_charge_path() == parix::ChargePath::kTape;
   parix::ChargeTape round_tape;
-  if (taped) {
-    if (rotating)
-      round_tape.charge_elems(parix::Op::kCopyWord, block_words, 2);
-    round_tape.charge_elems(parix::Op::kCall, fused, 2);
-    round_tape.charge_elems(op_kind<T>(), fused, 2);
-  }
+  if (rotating) round_tape.charge_elems(parix::Op::kCopyWord, block_words, 2);
+  round_tape.charge_elems(parix::Op::kCall, fused, 2);
+  round_tape.charge_elems(op_kind<T>(), fused, 2);
 
   for (int round = 0; round < q; ++round) {
     const parix::TraceSpan round_span(proc, "gen_mult round", round);
@@ -172,7 +169,6 @@ std::pair<SharedBlock<T>, SharedBlock<T>> gen_mult_rounds(
     if (rotating) {
       proc.send_buffer(a_dst, tag, a_buf, parix::SendMode::kAsync);
       proc.send_buffer(b_dst, tag + 1, b_buf, parix::SendMode::kAsync);
-      if (!taped) proc.charge_elems(parix::Op::kCopyWord, block_words, 2);
     }
 
     // Local generalized multiply-accumulate of the (block x block)
@@ -193,16 +189,9 @@ std::pair<SharedBlock<T>, SharedBlock<T>> gen_mult_rounds(
         }
       }
     }
-    // Charge the round's arithmetic before receiving, so the virtual
-    // receive time reflects the computation that overlapped it: two
-    // functional-argument calls and two element operations per fused
-    // multiply-add, as the instantiated Skil code would execute.
-    if (taped) {
-      proc.replay(round_tape, 1);
-    } else {
-      proc.charge_elems(parix::Op::kCall, fused, 2);
-      proc.charge_elems(op_kind<T>(), fused, 2);
-    }
+    // Charge the round before receiving, so the virtual receive time
+    // reflects the computation that overlapped it.
+    proc.replay(round_tape, 1);
 
     // Complete the rotation (also after the last round: q single-step
     // rotations return the blocks to their skewed start, which the
@@ -254,8 +243,6 @@ void array_gen_mult(DistArray<T>& a, DistArray<T>& b, Add gen_add,
     proc.fusion().note_fused(/*barriers=*/1, /*tapes=*/0);
     return;
   }
-  if (proc.fuse_mode() == parix::FuseMode::kOn)
-    proc.fusion().note_rejected(parix::FusionReject::kPath);
 
   // Unskew (restores the caller's a and b placements).  The blocks are
   // copied out of the shared buffers: a neighbour may still hold the
@@ -294,14 +281,9 @@ template <class T, class Add, class Mult>
 bool array_gen_mult_squared(DistArray<T>& a, Add gen_add, Mult gen_mult,
                             DistArray<T>& c, DistArray<T>& scratch) {
   parix::Proc& proc = a.proc();
-  const bool fuse_on = proc.fuse_mode() == parix::FuseMode::kOn;
   if (!proc.fusing() || !std::is_integral_v<T>) {
-    if (fuse_on) {
-      if (proc.fusing())
-        proc.fusion().note_rejected(parix::FusionReject::kOrder);
-      else
-        proc.fusion().note_rejected(parix::FusionReject::kPath);
-    }
+    if (proc.fusing())
+      proc.fusion().note_rejected(parix::FusionReject::kOrder);
     array_copy(a, scratch);
     array_gen_mult(a, scratch, gen_add, gen_mult, c);
     array_copy(c, a);

@@ -96,8 +96,8 @@ void array_map(F map_f, const DistArray<T1>& from, DistArray<T2>& to) {
 /// kernel `std::uint64_t(int row, int col_begin, const T1* src,
 /// T2* dst, int count)`, called once per row run: it maps the run's
 /// elements src[0..count) into dst[0..count) with raw reads and
-/// returns how many of them its interpretive body would have charged
-/// `tape`'s sequence for.  src may equal dst (in-situ map), so kernels
+/// returns how many of them the customizing function charges `tape`'s
+/// sequence for.  src may equal dst (in-situ map), so kernels
 /// work elementwise.  The loop replays the tape for the summed count,
 /// then books the same bulk tail charges as array_map.  Chain-
 /// identical to array_map with a functor whose active elements all

@@ -2,10 +2,12 @@
 // value of T1 and T2 must be what bench_table1_shpaths and
 // bench_table2_gauss print at two decimals, computed with the benches'
 // arithmetic from the default-mode (fuse off, coll auto) vtimes pinned
-// in tests/goldens/vtimes.json.  After a deliberate vtime move
-// (skil-goldens --write) this fails until the docs follow.
+// in tests/goldens/vtimes.json, and F1's summary must state what those
+// T2 cells give.  After a deliberate vtime move (skil-goldens --write)
+// this fails until the docs follow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "support/json.h"
@@ -47,16 +50,21 @@ std::map<Key, double> default_mode_seconds() {
   return seconds;
 }
 
-/// The table rows of the EXPERIMENTS.md section that starts with
-/// `heading`, each cell cut to its first word ("2.12 [2.06]" -> "2.12").
-Rows table_rows(const std::string& heading) {
+/// The EXPERIMENTS.md section that starts with `heading`.
+std::string section(const std::string& heading) {
   const std::string doc = read_file(SKIL_EXPERIMENTS_MD);
   const std::size_t begin = doc.find("\n" + heading);
   EXPECT_NE(begin, std::string::npos) << heading;
-  std::istringstream section(
-      doc.substr(begin, doc.find("\n## ", begin + 1) - begin));
+  if (begin == std::string::npos) return {};
+  return doc.substr(begin, doc.find("\n## ", begin + 1) - begin);
+}
+
+/// The table rows of the EXPERIMENTS.md section that starts with
+/// `heading`, each cell cut to its first word ("2.12 [2.06]" -> "2.12").
+Rows table_rows(const std::string& heading) {
+  std::istringstream text(section(heading));
   Rows rows;
-  for (std::string line; std::getline(section, line);) {
+  for (std::string line; std::getline(text, line);) {
     if (line.rfind("| ", 0) != 0) continue;
     std::istringstream cells(line.substr(1));
     rows.emplace_back();
@@ -137,6 +145,67 @@ TEST(ExperimentsTables, T2HereValuesMatchTheGoldenFile) {
   }
   EXPECT_EQ(table, 2);
   EXPECT_EQ(checked, 72);
+}
+
+// F1 summarizes the same 24 cells: how many DPFL/Skil speedups reach
+// 6 and the smallest one, the two smallest cells, the Skil/C range and
+// where its minimum lies, and the largest n's Skil/C at p = 4 and 64.
+TEST(ExperimentsTables, F1SummaryMatchesTheGoldenFile) {
+  const std::map<Key, double> seconds = default_mode_seconds();
+  struct Cell {
+    double ratio;
+    int p, n;
+  };
+  std::vector<Cell> speedups, slowdowns;
+  for (const auto& [key, skil] : seconds) {
+    const auto& [app, variant, p, n] = key;
+    if (app != "gauss" || variant != "skil") continue;
+    speedups.push_back({seconds.at({app, "dpfl", p, n}) / skil, p, n});
+    slowdowns.push_back({skil / seconds.at({app, "c", p, n}), p, n});
+  }
+  ASSERT_EQ(speedups.size(), 24u);
+  const auto by_ratio = [](const Cell& x, const Cell& y) {
+    return x.ratio < y.ratio;
+  };
+  std::sort(speedups.begin(), speedups.end(), by_ratio);
+  std::sort(slowdowns.begin(), slowdowns.end(), by_ratio);
+  const auto grouped =
+      std::count_if(speedups.begin(), speedups.end(),
+                    [](const Cell& c) { return c.ratio >= 6; });
+  // The text names the two smallest speedups as one column, lower p
+  // first.
+  Cell lo_p = speedups[0], hi_p = speedups[1];
+  if (hi_p.p < lo_p.p) std::swap(lo_p, hi_p);
+  EXPECT_EQ(lo_p.n, hi_p.n) << "the two smallest speedups are not one column";
+  int largest_n = 0;
+  for (const Cell& c : speedups) largest_n = std::max(largest_n, c.n);
+  const auto slowdown_at = [&](int p) {
+    return seconds.at({"gauss", "skil", p, largest_n}) /
+           seconds.at({"gauss", "c", p, largest_n});
+  };
+
+  std::string f1;  // F1's text with every whitespace run one space
+  for (const char ch : section("## F1"))
+    if (!std::isspace(static_cast<unsigned char>(ch)))
+      f1 += ch;
+    else if (!f1.empty() && f1.back() != ' ')
+      f1 += ' ';
+  const auto say = [](const char* format, auto... args) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf, format, args...);
+    return std::string(buf);
+  };
+  const std::string want[] = {
+      say("%d of 24 cells ≥ 6, minimum %.2f", static_cast<int>(grouped),
+          speedups[0].ratio),
+      say("the n=%d column at p=%d/%d (%.2f and %.2f)", lo_p.n, lo_p.p,
+          hi_p.p, lo_p.ratio, hi_p.ratio),
+      say("here %.2f–%.2f with the minimum at p=%d", slowdowns.front().ratio,
+          slowdowns.back().ratio, slowdowns.front().p),
+      say("(%.2f → %.2f here", slowdown_at(4), slowdown_at(64)),
+  };
+  for (const std::string& text : want)
+    EXPECT_NE(f1.find(text), std::string::npos) << "F1 should say: " << text;
 }
 
 }  // namespace

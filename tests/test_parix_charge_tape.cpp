@@ -1,14 +1,13 @@
 // Tests for the charge-tape specialization layer (parix/charge_tape.h,
 // Proc::replay, DESIGN.md section 8).
 //
-// The load-bearing property: the tape path must reproduce the
-// interpretive path's virtual times BIT-FOR-BIT.  A tape that merely
-// lands "close" has reassociated the dependent FP-add chain and changed
-// the scientific artefact.  Here that is pinned per replay and per
-// settlement walk; on the applications, goldens.interp_pooled and
-// goldens.interp_threads check every pinned run under the interpretive
-// path against tests/goldens/vtimes.json, every processor's vtime and
-// Stats included.
+// The load-bearing property: a replayed tape must land on the virtual
+// times of the charge() calls it stands for BIT-FOR-BIT.  A tape that
+// merely lands "close" has reassociated the dependent FP-add chain and
+// changed the scientific artefact.  Here that is pinned per replay and
+// per settlement walk; on the applications, the goldens.* entries check
+// every pinned run against tests/goldens/vtimes.json, every
+// processor's vtime and Stats included.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -30,7 +29,6 @@ namespace {
 using namespace skil;
 using namespace skil::parix;
 
-using skil::testing::with_charge_path;
 using skil::testing::with_engine;
 
 // --- replay identity ------------------------------------------------------
@@ -188,9 +186,7 @@ TEST(MultiCarrier, TapeRunsSettleClosedFormAtOneAndFourCarriers) {
     SCOPED_TRACE(carriers);
     executor_set_carriers(carriers);
     const RunResult r = with_engine(ExecutionEngine::kPooled, [] {
-      return with_charge_path(ChargePath::kTape, [] {
-        return apps::gauss_skil(16, 64, goldens::kSeed, false).run;
-      });
+      return apps::gauss_skil(16, 64, goldens::kSeed, false).run;
     });
     EXPECT_GT(r.settle.closed_runs, 0u);
   }
@@ -425,25 +421,6 @@ TEST(TapeIdentity, CoalescedChargeRecordsDropTheTapeId) {
 
 // --- strict switch parsing ------------------------------------------------
 
-TEST(ChargePathParsing, AcceptsTheTwoKnownNames) {
-  EXPECT_EQ(parse_charge_path("interp"), ChargePath::kInterp);
-  EXPECT_EQ(parse_charge_path("tape"), ChargePath::kTape);
-}
-
-TEST(ChargePathParsing, RejectsUnknownNamesListingAcceptedValues) {
-  try {
-    parse_charge_path("fast");
-    FAIL() << "expected ContractError";
-  } catch (const support::ContractError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("SKIL_CHARGE"), std::string::npos);
-    EXPECT_NE(what.find("fast"), std::string::npos);
-    EXPECT_NE(what.find("interp, tape"), std::string::npos);
-  }
-  EXPECT_THROW(parse_charge_path(""), support::ContractError);
-  EXPECT_THROW(parse_charge_path("Tape"), support::ContractError);
-}
-
 TEST(EngineParsing, AcceptsTheTwoKnownNames) {
   EXPECT_EQ(parse_execution_engine("threads"), ExecutionEngine::kThreads);
   EXPECT_EQ(parse_execution_engine("pooled"), ExecutionEngine::kPooled);
@@ -460,17 +437,6 @@ TEST(EngineParsing, RejectsUnknownNamesListingAcceptedValues) {
     EXPECT_NE(what.find("threads, pooled"), std::string::npos);
   }
   EXPECT_THROW(parse_execution_engine(""), support::ContractError);
-}
-
-// --- default selection ----------------------------------------------------
-
-TEST(ChargePathDefault, SetDefaultRoundTrips) {
-  const ChargePath saved = default_charge_path();
-  set_default_charge_path(ChargePath::kInterp);
-  EXPECT_EQ(default_charge_path(), ChargePath::kInterp);
-  set_default_charge_path(ChargePath::kTape);
-  EXPECT_EQ(default_charge_path(), ChargePath::kTape);
-  set_default_charge_path(saved);
 }
 
 }  // namespace

@@ -32,7 +32,6 @@
 namespace {
 
 using skil::parix::analyze_critical_path;
-using skil::parix::ChargePath;
 using skil::parix::CriticalPath;
 using skil::parix::FuseMode;
 using skil::parix::ProcTrace;
@@ -43,7 +42,6 @@ using skil::parix::TraceEventKind;
 using skil::parix::TraceMode;
 using skil::support::ContractError;
 using skil::goldens::kSeed;
-using skil::testing::with_charge_path;
 using skil::testing::with_fuse_mode;
 
 /// Runs `fn` with `mode` as the process-wide default trace mode,
@@ -63,7 +61,7 @@ RunResult traced_gauss(TraceMode mode) {
 }
 
 // ---------------------------------------------------------------------------
-// Mode parsing (strict, like SKIL_ENGINE / SKIL_CHARGE).
+// Mode parsing (strict, like SKIL_ENGINE / SKIL_FUSE).
 
 TEST(TraceMode_, ParsesTheThreeAcceptedNames) {
   EXPECT_EQ(skil::parix::parse_trace_mode("off"), TraceMode::kOff);
@@ -180,20 +178,17 @@ TEST(TraceSpans, SpansModeRecordsNoMessageEvents) {
 
 // ---------------------------------------------------------------------------
 // Charged-but-not-performed work keeps its program points.  Under fuse
-// off the tape path runs Gauss's maps in place and skips host work the
-// program only pays for (Skil's copy of a into b, b's creation); it
-// must still book every such charge inside the span the interpretive
-// oracle opens when it performs the work.  So both paths must record
-// the same spans, with the same counts and virtual durations.
+// off Gauss maps in place and skips host work the program only pays
+// for: Skil's copies of a into b, and b's creation outside pivoting
+// runs.  It must still book every such charge inside the span of the
+// skeleton the program calls, so each pinned span adds virtual time.
 
 /// Span label -> (begin count, summed virtual duration) of one run.
 using SpanTotals = std::map<std::string, std::pair<std::uint64_t, double>>;
 
-SpanTotals unfused_spans(ChargePath path,
-                         const std::function<RunResult()>& app) {
+SpanTotals unfused_spans(const std::function<RunResult()>& app) {
   const RunResult run = with_fuse_mode(FuseMode::kOff, [&] {
-    return with_charge_path(
-        path, [&] { return with_trace_mode(TraceMode::kSpans, app); });
+    return with_trace_mode(TraceMode::kSpans, app);
   });
   SpanTotals totals;
   for (const auto& s : skil::parix::span_summary(*run.trace))
@@ -223,15 +218,22 @@ TEST(TraceSpans, TapePathBooksElidedWorkInTheOraclesSpans) {
        [] { return gauss_dpfl(4, 32, kSeed).run; },
        {{"fa_map", 260}, {"fa_create", 8}}},
   };
+  std::map<std::string, SpanTotals> runs;
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    const SpanTotals tape = unfused_spans(ChargePath::kTape, c.app);
-    EXPECT_EQ(tape, unfused_spans(ChargePath::kInterp, c.app));
+    const SpanTotals& spans = runs[c.name] = unfused_spans(c.app);
     for (const auto& [name, count] : c.pinned) {
-      const auto it = tape.find(name);
-      EXPECT_EQ(it == tape.end() ? 0u : it->second.first, count) << name;
+      const auto it = spans.find(name);
+      ASSERT_NE(it, spans.end()) << name;
+      EXPECT_EQ(it->second.first, count) << name;
+      EXPECT_GT(it->second.second, 0.0) << name << " spans book no time";
     }
   }
+  // The pivoting run really creates b, whose row swaps need it; the
+  // plain run only books b's creation.  Both create the same three
+  // arrays, so their array_create spans must agree to the last bit.
+  EXPECT_EQ(runs["skil"].at("array_create"),
+            runs["skil pivoting"].at("array_create"));
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@
 //     support must be invisible when disabled.
 //   * on: array *results* stay bit-identical to off on every cell.
 //   * every fusible composition is accounted for: seen = fused +
-//     rejected, with kShape rejections on the pivoting Gauss cell and
-//     kPath rejections when the interpretive charge path is active.
+//     rejected, with kShape rejections on the pivoting Gauss cell.
 //
 // The virtual times of both modes are pinned per run in
 // tests/goldens/vtimes.json, where skil-goldens also requires every
@@ -35,7 +34,6 @@ using namespace skil;
 using namespace skil::parix;
 
 using skil::goldens::kSeed;
-using skil::testing::with_charge_path;
 using skil::testing::with_fuse_mode;
 
 template <class T>
@@ -91,27 +89,6 @@ TEST(FusionGolden, PivotingGaussRejectsPermutedStepsByShape) {
   EXPECT_GT(r.fusion.rejected_shape, 0u);
   EXPECT_GT(r.fusion.fused, 0u);
   EXPECT_EQ(r.fusion.rejected_order, 0u);
-  EXPECT_EQ(r.fusion.rejected_path, 0u);
-}
-
-// --- interpretive charge path keeps the oracle unfused ----------------------
-
-TEST(FusionGolden, InterpChargePathRejectsFusionBitIdentically) {
-  // Fused variants are taped; under SKIL_CHARGE=interp the fused-mode
-  // run must execute exactly the interpretive oracle (kPath
-  // rejections, no fused composition, bit-identical vtimes to
-  // interp + off).
-  const RunResult off = with_charge_path(ChargePath::kInterp, [] {
-    return with_fuse_mode(FuseMode::kOff, gauss_skil_p4_n64);
-  });
-  const RunResult on = with_charge_path(ChargePath::kInterp, [] {
-    return with_fuse_mode(FuseMode::kOn, gauss_skil_p4_n64);
-  });
-  EXPECT_EQ(on.vtime_us, off.vtime_us);
-  EXPECT_EQ(on.proc_vtimes, off.proc_vtimes);
-  EXPECT_EQ(on.fusion.fused, 0u);
-  EXPECT_GT(on.fusion.rejected_path, 0u);
-  EXPECT_EQ(off.fusion.seen, 0u);
 }
 
 // --- differential: results bit-identical off vs on --------------------------

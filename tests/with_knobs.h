@@ -19,15 +19,6 @@ auto with_engine(parix::ExecutionEngine engine, Fn&& fn) {
 }
 
 template <class Fn>
-auto with_charge_path(parix::ChargePath path, Fn&& fn) {
-  const parix::ChargePath saved = parix::default_charge_path();
-  parix::set_default_charge_path(path);
-  auto result = fn();
-  parix::set_default_charge_path(saved);
-  return result;
-}
-
-template <class Fn>
 auto with_fuse_mode(parix::FuseMode mode, Fn&& fn) {
   const parix::FuseMode saved = parix::default_fuse_mode();
   parix::set_default_fuse_mode(mode);

@@ -5,13 +5,11 @@
 // Reruns every run of tests/goldens/pinned_runs.h in forked workers
 // (bench/gauss_sweep.h), each under the fuse and coll modes its key
 // names.  The knobs that must not move a vtime come from the
-// environment (SKIL_ENGINE, SKIL_CARRIERS, SKIL_CHARGE, SKIL_TRACE,
-// SKIL_PROF); SKIL_CHARGE=interp rejects fusion by design, so under it
-// the fuse=on entries are skipped.  --check prints every value that
-// moved, even by one ulp (vtimes are hexfloat strings), as old -> new
-// with its relative change; --write rewrites the file.  Both fail when
-// a fuse=on entry lies above its fuse=off twin or a coll=auto entry
-// above its coll=tree twin.
+// environment (SKIL_ENGINE, SKIL_CARRIERS, SKIL_TRACE, SKIL_PROF).
+// --check prints every value that moved, even by one ulp (vtimes are
+// hexfloat strings), as old -> new with its relative change; --write
+// rewrites the file.  Both fail when a fuse=on entry lies above its
+// fuse=off twin or a coll=auto entry above its coll=tree twin.
 //
 // Exit status: 0 all runs match (or the file was written), 1 a value
 // moved, an entry is missing or extra, or a twin rule fails, 2 usage or
@@ -158,10 +156,6 @@ int main(int argc, char** argv) try {
                "give exactly one of --check and --write");
   const std::string path = cli.get("file", "tests/goldens/vtimes.json");
   const std::string dir = std::filesystem::path(path).parent_path();
-  const bool interp =
-      parix::default_charge_path() == parix::ChargePath::kInterp;
-  SKIL_REQUIRE(!write || !interp,
-               "--write needs SKIL_CHARGE=tape: interp rejects fusion");
   SKIL_REQUIRE(!write || (::access(dir.empty() ? "." : dir.c_str(), W_OK) == 0
                           && !std::filesystem::is_directory(path)),
                "cannot write '" + path + "'");
@@ -174,10 +168,7 @@ int main(int argc, char** argv) try {
     doc = json::parse(text.str());
   }
 
-  std::vector<goldens::PinnedRun> runs = goldens::pinned_runs();
-  std::erase_if(runs, [&](const goldens::PinnedRun& run) {
-    return interp && run.fuse == parix::FuseMode::kOn;
-  });
+  const std::vector<goldens::PinnedRun> runs = goldens::pinned_runs();
   std::vector<std::string> keys;
   for (const goldens::PinnedRun& run : runs)
     keys.push_back(key_of(json::parse("{" + run.key + "}")));
@@ -209,13 +200,10 @@ int main(int argc, char** argv) try {
     std::printf("wrote %zu runs to %s\n", texts.size(), path.c_str());
     return 0;
   }
-  std::size_t skipped = 0;
   for (const auto& [key, entry] : was) {
     const auto it = now.find(key);
     if (it != now.end()) {
       bad += diff(key, *entry, *it->second);
-    } else if (interp && key.find("fuse=on") != std::string::npos) {
-      ++skipped;
     } else {
       std::printf("extra: no pinned run makes %s\n", key.c_str());
       ++bad;
@@ -226,9 +214,6 @@ int main(int argc, char** argv) try {
       std::printf("missing: %s is not in the file\n", key.c_str());
       ++bad;
     }
-  if (skipped > 0)
-    std::printf("skipped %zu fuse=on entries: SKIL_CHARGE=interp rejects "
-                "fusion by design\n", skipped);
   if (bad > 0)
     std::printf("%d differences from %s\n", bad, path.c_str());
   else
