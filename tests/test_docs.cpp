@@ -1,8 +1,9 @@
 // The docs against the code: every `SKIL_NAME=` that README.md,
-// DESIGN.md or the verify notes write must name a knob the code
-// accepts, i.e. an environment variable that a std::getenv("SKIL_...")
-// in src/ reads, or a SKIL_* cache variable of CMakeLists.txt.  A
-// retired knob left in the docs fails here, naming the file and line.
+// DESIGN.md or a build-and-run note (SKIL_DOCS, listed by
+// tests/CMakeLists.txt) writes must name a knob the code accepts, i.e.
+// an environment variable that a std::getenv("SKIL_...") in src/
+// reads, or a SKIL_* cache variable of CMakeLists.txt.  A retired knob
+// left in the docs fails here, naming the file and line.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -50,8 +51,8 @@ TEST(DocsKnobs, EnvAssignmentsNameAcceptedKnobs) {
       << "the scan of src/ and CMakeLists.txt found no knobs";
   const std::regex assignment("(SKIL_[A-Z0-9_]+)=");
   int uses = 0;
-  for (const char* doc :
-       {"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}) {
+  std::istringstream docs(SKIL_DOCS);
+  for (std::string doc; std::getline(docs, doc, ',');) {
     std::ifstream in(kRoot / doc);
     ASSERT_TRUE(in.good()) << "cannot read " << doc;
     int lineno = 0;
