@@ -95,7 +95,11 @@ MatmulResult matmul_dpfl(int nprocs, int n, std::uint64_t seed,
                                                init_a, parix::Distr::kTorus2D);
     FArray<double> b = dpfl::fa_create<double>(proc, 2, Size{size, size},
                                                init_b, parix::Distr::kTorus2D);
-    FArray<double> c = dpfl::fa_gen_mult(a, b, add, mult);
+    // The combines inline into the multiply loop; the add and mult
+    // Closures above charge the program's closure records.
+    FArray<double> c = dpfl::fa_gen_mult(
+        a, b, [](double x, double y) { return x + y; },
+        [](double x, double y) { return x * y; });
 
     std::vector<double> flat = dpfl::fa_gather_root(c);
     if (proc.id() == 0) {

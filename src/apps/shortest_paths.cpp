@@ -127,7 +127,7 @@ ShpathsResult shpaths_dpfl(int nprocs, int n, std::uint64_t seed,
       // The combines inline into the multiply loop; the gen_add and
       // gen_mult Closures above charge the program's closure records,
       // and the skeleton books its bulk per-round charges.
-      a = dpfl::fa_gen_mult_taped(
+      a = dpfl::fa_gen_mult(
           a, a,
           [](std::uint32_t x, std::uint32_t y) { return std::min(x, y); },
           [](std::uint32_t x, std::uint32_t y) { return dist_add(x, y); });

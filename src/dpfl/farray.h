@@ -422,16 +422,15 @@ FArray<T> fa_permute_rows(const FArray<T>& a,
   return FArray<T>(proc, a.dist_ptr(), std::move(fresh));
 }
 
-namespace detail {
-
-/// Shared core of fa_gen_mult and fa_gen_mult_taped, templated over
-/// the combine functors.  The charges are already bulk (per round, not
-/// per element), so both paths book the identical sequence; the taped
-/// entry point only swaps the per-element closure dispatch for fully
-/// inlined functors.
+/// Functional Gentleman multiplication: same torus rotations as the
+/// Skil skeleton, but every round books the boxed-closure combines and
+/// a persistent rebuild of the accumulator array.  The charges are bulk
+/// (per round, not per element), so the combines are plain functors
+/// that inline into the block-multiply loop; callers construct their
+/// Closures as the program would, which charges the closure records.
 template <class T, class AddF, class MultF>
-FArray<T> fa_gen_mult_impl(const FArray<T>& a, const FArray<T>& b,
-                           AddF&& gen_add, MultF&& gen_mult) {
+FArray<T> fa_gen_mult(const FArray<T>& a, const FArray<T>& b, AddF&& gen_add,
+                      MultF&& gen_mult) {
   SKIL_REQUIRE(a.valid() && b.valid(), "fa_gen_mult: invalid array");
   const Distribution& dist = a.dist();
   const parix::Topology& topo = a.topology();
@@ -531,32 +530,6 @@ FArray<T> fa_gen_mult_impl(const FArray<T>& a, const FArray<T>& b,
                              /*tapes=*/static_cast<std::uint64_t>(q - 1));
 
   return FArray<T>(proc, a.dist_ptr(), std::move(c_block));
-}
-
-}  // namespace detail
-
-/// Functional Gentleman multiplication: same torus rotations as the
-/// Skil skeleton, but every round combines through closures on boxed
-/// values and the accumulator array is rebuilt persistently per round.
-template <class T>
-FArray<T> fa_gen_mult(const FArray<T>& a, const FArray<T>& b,
-                      const Closure<T(T, T)>& gen_add,
-                      const Closure<T(T, T)>& gen_mult) {
-  return detail::fa_gen_mult_impl(
-      a, b,
-      [&](T x, T y) { return gen_add.apply_uncharged(x, y); },
-      [&](T x, T y) { return gen_mult.apply_uncharged(x, y); });
-}
-
-/// Tape-path fa_gen_mult: the same rounds and the same bulk charges,
-/// with the combines supplied as plain functors that inline into the
-/// block-multiply loop (callers still construct their Closures so the
-/// closure-record allocations charge identically).
-template <class T, class AddF, class MultF>
-FArray<T> fa_gen_mult_taped(const FArray<T>& a, const FArray<T>& b,
-                            AddF&& gen_add, MultF&& gen_mult) {
-  return detail::fa_gen_mult_impl(a, b, std::forward<AddF>(gen_add),
-                                  std::forward<MultF>(gen_mult));
 }
 
 namespace detail {

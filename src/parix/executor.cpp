@@ -3,6 +3,7 @@
 #include <ucontext.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -45,28 +46,40 @@ namespace {
 // so a 64-processor run commits only the pages it actually uses.
 constexpr std::size_t kFiberStackBytes = std::size_t{1} << 20;
 
-// Park/unpark protocol (all transitions under Scheduler::mutex_):
+// Park/unpark protocol.  Fiber::state is an atomic that park_current,
+// wake and the carrier change by compare-and-swap; no lock is held:
 //
 //   kReady     in a carrier run queue, waiting for a carrier
 //   kRunning   executing on a carrier thread
+//   kNotified  executing, and a wake() arrived before it parked
 //   kParking   asked to park; its carrier has not yet swapped off the
 //              fiber stack, so it cannot be enqueued yet
 //   kParked    off-stack, waiting for a wake()
 //   kFinished  body returned; the carrier recycles the fiber object
 //
-// A wake() that catches the fiber kRunning (the waiter was already
-// deregistered, but the fiber has not reached park_current yet) sets
-// notify_pending, which park_current consumes instead of parking --
-// the classic missed-wakeup race, resolved without spinning.
-enum class FiberState { kReady, kRunning, kParking, kParked, kFinished };
+// park_current turns kRunning into kParking and swaps to its carrier,
+// which then turns kParking into kParked.  wake() turns kParked into
+// kReady and enqueues the fiber, or kParking into kReady, in which case
+// the carrier's CAS fails and the carrier enqueues it.  A wake() that
+// catches the fiber kRunning (the waiter was already deregistered, but
+// the fiber has not reached park_current yet) turns it into kNotified,
+// and park_current then returns at once -- the classic missed-wakeup
+// race, resolved without spinning.
+enum class FiberState {
+  kReady,
+  kRunning,
+  kNotified,
+  kParking,
+  kParked,
+  kFinished
+};
 
 struct RunState;
 
 struct Fiber {
   ucontext_t context;
   std::unique_ptr<char[]> stack;
-  FiberState state = FiberState::kReady;
-  bool notify_pending = false;
+  std::atomic<FiberState> state{FiberState::kReady};
   /// Carrier whose run queue this fiber calls home (affinity; idle
   /// carriers steal from the others).
   int home = 0;
@@ -125,8 +138,8 @@ thread_local void* tl_worker_tsan_fiber = nullptr;
 // goes through these opaque accessors: noinline forces a fresh
 // thread-pointer load per call, and the volatile asm keeps IPA from
 // proving the functions pure and CSE-ing the calls.  Carrier-side code
-// (worker_main) accesses its own slots directly -- a worker thread
-// never migrates.
+// (worker_main, dispatch) accesses its own slots directly -- a worker
+// thread never migrates.
 __attribute__((noinline)) Fiber*& current_fiber_slot() {
   asm volatile("");
   return tl_fiber;
@@ -231,38 +244,56 @@ class Scheduler {
   void prof_prepare();
 
  private:
+  /// One carrier's run queue, under its own lock (one cache line each,
+  /// so carriers pushing to different queues do not share a line).
+  struct alignas(64) RunQueue {
+    std::mutex mutex;
+    std::deque<Fiber*> fibers;
+  };
+
   Scheduler() = default;
   ~Scheduler();
 
   void worker_main(int index);
+  void dispatch(Fiber* fiber, int index);
   void spawn_workers_locked();
   void stop_workers(std::unique_lock<std::mutex>& lock);
-  void enqueue_locked(Fiber* fiber);
-  Fiber* pop_ready_locked(int index);
+  void enqueue(Fiber* fiber);
+  Fiber* try_pop(int index);
+  bool try_admit_locked();
   void detect_deadlock_locked(std::unique_lock<std::mutex>& lock);
   int resolve_carriers_locked();
 
+  /// Guards the pool's lifecycle, the fiber free list, idle sleep and
+  /// quiescence detection.  Dispatch, park and wake take it only to
+  /// wake a sleeping carrier.
   std::mutex mutex_;
   std::condition_variable work_cv_;
   /// One run queue per carrier (fiber->home indexes it); idle carriers
-  /// steal from the other queues, so ready_count_ is the global count.
-  std::vector<std::deque<Fiber*>> queues_;
-  int ready_count_ = 0;
+  /// steal from the other queues.  Replaced only while no carrier runs.
+  std::vector<RunQueue> queues_;
+  /// Fibers in the run queues.  Paired with sleepers_ (both seq_cst) so
+  /// that an enqueue and a carrier going to sleep cannot miss each
+  /// other: see enqueue() and worker_main().
+  std::atomic<int> ready_{0};
+  /// Carriers waiting on work_cv_ (changed under mutex_).
+  std::atomic<int> sleepers_{0};
+  /// Carriers holding an admission slot, i.e. awake and running fibers
+  /// or looking for one (changed under mutex_).
+  std::atomic<int> admitted_{0};
+  /// Fibers of the current run that have not finished.
+  std::atomic<int> live_{0};
   std::vector<std::unique_ptr<Fiber>> all_fibers_;  // ownership
   std::vector<Fiber*> free_fibers_;                 // recycled, off-stack
   std::vector<std::thread> workers_;
   int desired_carriers_ = 0;  // 0 = auto (SKIL_CARRIERS / hw concurrency)
-  /// Admission cap: at most this many carriers execute fibers
-  /// concurrently; the rest stand by in the cv wait.  Set to
-  /// min(carriers, hardware_concurrency).  Oversubscribing physical
-  /// cores is pure loss here -- every suppressed slot would otherwise
-  /// turn scheduler wakeups into kernel context switches and the
-  /// global mutex into a lock convoy -- so excess carriers just stand
-  /// by, engaging as soon as the cap allows.
+  /// Admission cap: at most this many carriers hold a slot at once; the
+  /// rest stand by in the cv wait.  Set to min(carriers,
+  /// hardware_concurrency).  Oversubscribing physical cores is pure
+  /// loss here -- every suppressed slot would otherwise turn scheduler
+  /// wakeups into kernel context switches -- so excess carriers just
+  /// stand by, engaging as soon as the cap allows.
   int active_cap_ = 1;
-  int running_ = 0;
-  int parked_ = 0;
-  int live_ = 0;
   RunState* current_run_ = nullptr;
   bool shutdown_ = false;
 
@@ -320,7 +351,7 @@ void Scheduler::spawn_workers_locked() {
     prof_ensure_registry(n);
   const unsigned hc = std::thread::hardware_concurrency();
   active_cap_ = hc == 0 ? n : std::max(1, std::min(n, static_cast<int>(hc)));
-  queues_.assign(static_cast<std::size_t>(n), {});
+  queues_ = std::vector<RunQueue>(static_cast<std::size_t>(n));
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     workers_.emplace_back([this, i] { worker_main(i); });
@@ -355,51 +386,75 @@ void Scheduler::prof_prepare() {
   prof_ensure_registry(static_cast<int>(workers_.size()));
 }
 
-void Scheduler::enqueue_locked(Fiber* fiber) {
-  queues_[static_cast<std::size_t>(fiber->home)].push_back(fiber);
-  ++ready_count_;
-  // Wake a standby carrier only when the admission cap has room for
-  // it; at the cap, the carriers already executing drain the queue
-  // themselves when they next return to their loop.
-  if (running_ < active_cap_) work_cv_.notify_one();
+void Scheduler::enqueue(Fiber* fiber) {
+  RunQueue& queue = queues_[static_cast<std::size_t>(fiber->home)];
+  {
+    const std::scoped_lock lock(queue.mutex);
+    queue.fibers.push_back(fiber);
+  }
+  // The enqueuer bumps ready_ and then reads sleepers_; a carrier going
+  // to sleep bumps sleepers_ and then reads ready_ (worker_main).  Both
+  // are seq_cst, so at least one side sees the other and no wakeup is
+  // lost.  Wake a sleeper only when the admission cap has room for it;
+  // at the cap, the admitted carriers drain the queues themselves (one
+  // releasing its slot reads ready_ before it sleeps).
+  ready_.fetch_add(1);
+  if (sleepers_.load() > 0 && admitted_.load() < active_cap_) {
+    const std::scoped_lock lock(mutex_);
+    work_cv_.notify_one();
+  }
 }
 
-Fiber* Scheduler::pop_ready_locked(int index) {
+Fiber* Scheduler::try_pop(int index) {
   ProfRegistry* const prof = prof_registry();
-  if (ready_count_ == 0) {
-    if (prof != nullptr && index < prof->n) [[unlikely]]
-      prof->carriers[index].steal_failed_rounds.fetch_add(
-          1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  const int n = static_cast<int>(queues_.size());
-  // Own queue first (affinity), then steal round-robin from the rest.
-  for (int i = 0; i < n; ++i) {
-    const int owner = (index + i) % n;
-    auto& queue = queues_[static_cast<std::size_t>(owner)];
-    if (queue.empty()) {
-      if (prof != nullptr && i > 0 && index < prof->n) [[unlikely]]
+  const bool profiled = prof != nullptr && index < prof->n;
+  if (ready_.load() > 0) {
+    const int n = static_cast<int>(queues_.size());
+    // Own queue first (affinity), then steal round-robin from the
+    // rest, one queue lock at a time.
+    for (int i = 0; i < n; ++i) {
+      RunQueue& queue = queues_[static_cast<std::size_t>((index + i) % n)];
+      Fiber* fiber = nullptr;
+      {
+        const std::scoped_lock lock(queue.mutex);
+        if (!queue.fibers.empty()) {
+          fiber = queue.fibers.front();
+          queue.fibers.pop_front();
+        }
+      }
+      if (profiled && i > 0) [[unlikely]] {
         prof->carriers[index].steal_attempts.fetch_add(
             1, std::memory_order_relaxed);
-      continue;
+        if (fiber != nullptr)
+          prof->carriers[index].steal_successes.fetch_add(
+              1, std::memory_order_relaxed);
+      }
+      if (fiber != nullptr) {
+        ready_.fetch_sub(1);
+        return fiber;
+      }
     }
-    Fiber* fiber = queue.front();
-    queue.pop_front();
-    --ready_count_;
-    if (prof != nullptr && i > 0 && index < prof->n) [[unlikely]] {
-      CarrierCounters& pc = prof->carriers[index];
-      pc.steal_attempts.fetch_add(1, std::memory_order_relaxed);
-      pc.steal_successes.fetch_add(1, std::memory_order_relaxed);
-    }
-    return fiber;
+    // Another carrier took the fiber ready_ counted.
   }
-  SKIL_ASSERT(false, "executor: ready_count_ out of sync");
+  if (profiled) [[unlikely]]
+    prof->carriers[index].steal_failed_rounds.fetch_add(
+        1, std::memory_order_relaxed);
   return nullptr;
 }
 
+bool Scheduler::try_admit_locked() {
+  if (ready_.load() <= 0 || admitted_.load() >= active_cap_) return false;
+  admitted_.fetch_add(1);
+  return true;
+}
+
 void Scheduler::detect_deadlock_locked(std::unique_lock<std::mutex>& lock) {
-  if (ready_count_ > 0 || running_ > 0 || live_ == 0 || parked_ != live_)
-    return;
+  // Quiescence: no carrier holds a slot, so no fiber runs, and nothing
+  // is queued.  A wake comes only from a running fiber's Mailbox::put
+  // or from the run thread's poison (a carrier requeueing a fiber woken
+  // mid-park still holds its slot), so every live fiber is parked for
+  // good.
+  if (admitted_.load() > 0 || ready_.load() > 0 || live_.load() == 0) return;
   RunState* run = current_run_;
   if (run == nullptr || run->deadlock_poisoned) return;
   run->deadlock_poisoned = true;
@@ -438,126 +493,115 @@ void Scheduler::worker_main(int index) {
 #endif
   std::unique_lock lock(mutex_);
   for (;;) {
-    work_cv_.wait(lock, [&] {
-      return shutdown_ || (ready_count_ > 0 && running_ < active_cap_);
-    });
+    // Sleep until work is queued and the admission cap has a slot free
+    // (sleepers_ before ready_: see enqueue).
+    sleepers_.fetch_add(1);
+    work_cv_.wait(lock, [&] { return shutdown_ || try_admit_locked(); });
+    sleepers_.fetch_sub(1);
     if (shutdown_) return;
-    Fiber* fiber = pop_ready_locked(index);
-    if (fiber == nullptr) continue;
-    fiber->state = FiberState::kRunning;
-    fiber->home = index;
-    ++running_;
-    const bool resumed = fiber->ran_before;
-    fiber->ran_before = true;
     lock.unlock();
-
-    ProfRegistry* const prof = prof_registry();
-    std::chrono::steady_clock::time_point prof_t0;
-    if (prof != nullptr && index < prof->n) [[unlikely]] {
-      CarrierCounters& pc = prof->carriers[index];
-      pc.fibers_run.fetch_add(1, std::memory_order_relaxed);
-      if (resumed) pc.fibers_resumed.fetch_add(1, std::memory_order_relaxed);
-      prof_t0 = std::chrono::steady_clock::now();
-    }
-
-    tl_fiber = fiber;
-    void* fake_stack = nullptr;
-    sanitizer_switch_to_fiber(fiber, &fake_stack);
-    swapcontext(&worker_context, &fiber->context);
-    sanitizer_finish_switch(fake_stack);
-    tl_fiber = nullptr;
-
-    if (prof != nullptr && index < prof->n) [[unlikely]]
-      prof->carriers[index].run_ns.fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - prof_t0)
-                  .count()),
-          std::memory_order_relaxed);
-
+    while (Fiber* fiber = try_pop(index)) dispatch(fiber, index);
     lock.lock();
-    --running_;
-    switch (fiber->state) {
-      case FiberState::kFinished:
-        // Safe to recycle: the fiber has left its stack for good.
-        free_fibers_.push_back(fiber);
-        break;
-      case FiberState::kParking:
-        if (fiber->notify_pending) {
-          fiber->notify_pending = false;
-          fiber->state = FiberState::kReady;
-          enqueue_locked(fiber);
-        } else {
-          fiber->state = FiberState::kParked;
-          ++parked_;
-          if (ProfRegistry* const prof_park = prof_registry();
-              prof_park != nullptr && index < prof_park->n) [[unlikely]]
-            prof_park->carriers[index].parks.fetch_add(
-                1, std::memory_order_relaxed);
-          detect_deadlock_locked(lock);
-        }
-        break;
-      case FiberState::kReady:
-        // A wake() arrived while the fiber was mid-park; it could not
-        // enqueue (we were still on the fiber's stack), so we do.
-        enqueue_locked(fiber);
-        break;
-      default:
-        SKIL_ASSERT(false, "executor: fiber yielded in impossible state");
-    }
+    admitted_.fetch_sub(1);
+    detect_deadlock_locked(lock);
   }
+}
+
+void Scheduler::dispatch(Fiber* fiber, int index) {
+  fiber->state.store(FiberState::kRunning);
+  fiber->home = index;
+  const bool resumed = fiber->ran_before;
+  fiber->ran_before = true;
+
+  ProfRegistry* const prof = prof_registry();
+  const bool profiled = prof != nullptr && index < prof->n;
+  std::chrono::steady_clock::time_point prof_t0;
+  if (profiled) [[unlikely]] {
+    CarrierCounters& pc = prof->carriers[index];
+    pc.fibers_run.fetch_add(1, std::memory_order_relaxed);
+    if (resumed) pc.fibers_resumed.fetch_add(1, std::memory_order_relaxed);
+    prof_t0 = std::chrono::steady_clock::now();
+  }
+
+  tl_fiber = fiber;
+  void* fake_stack = nullptr;
+  sanitizer_switch_to_fiber(fiber, &fake_stack);
+  swapcontext(tl_worker_context, &fiber->context);
+  sanitizer_finish_switch(fake_stack);
+  tl_fiber = nullptr;
+
+  if (profiled) [[unlikely]]
+    prof->carriers[index].run_ns.fetch_add(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - prof_t0)
+                .count()),
+        std::memory_order_relaxed);
+
+  // The fiber is off its stack: finish its park, requeue it if a wake()
+  // raced the park, or recycle it.
+  FiberState state = FiberState::kParking;
+  if (fiber->state.compare_exchange_strong(state, FiberState::kParked))
+    return;
+  if (state == FiberState::kReady) {
+    enqueue(fiber);
+    return;
+  }
+  SKIL_ASSERT(state == FiberState::kFinished,
+              "executor: fiber yielded in impossible state");
+  const std::scoped_lock lock(mutex_);
+  free_fibers_.push_back(fiber);
 }
 
 void Scheduler::park_current() {
   Fiber* fiber = current_fiber_slot();
   SKIL_ASSERT(fiber != nullptr, "executor: park outside a fiber");
-  {
-    const std::scoped_lock lock(mutex_);
-    if (fiber->notify_pending) {
-      fiber->notify_pending = false;
-      return;
-    }
-    fiber->state = FiberState::kParking;
+  FiberState state = FiberState::kRunning;
+  if (!fiber->state.compare_exchange_strong(state, FiberState::kParking)) {
+    // A wake() raced ahead of the park: consume it and return.
+    SKIL_ASSERT(state == FiberState::kNotified,
+                "executor: park from a fiber that is not running");
+    fiber->state.store(FiberState::kRunning);
+    return;
   }
+  // Counted on the fiber's side, before the swap: the park then happens
+  // before the wake() that counts its unpark, so a finished run's
+  // counters always show unparks <= parks.
+  if (ProfRegistry* const prof = prof_registry();
+      prof != nullptr && fiber->home < prof->n) [[unlikely]]
+    prof->carriers[fiber->home].parks.fetch_add(1, std::memory_order_relaxed);
   sanitizer_switch_to_worker(&fiber->asan_fake_stack);
   swapcontext(&fiber->context, current_worker_context());
   sanitizer_finish_switch(fiber->asan_fake_stack);
 }
 
 void Scheduler::wake(Fiber* fiber) {
-  const std::scoped_lock lock(mutex_);
-  switch (fiber->state) {
-    case FiberState::kParked:
-      fiber->state = FiberState::kReady;
-      --parked_;
-      if (ProfRegistry* const prof = prof_registry();
-          prof != nullptr && fiber->home < prof->n) [[unlikely]]
-        prof->carriers[fiber->home].unparks.fetch_add(
-            1, std::memory_order_relaxed);
-      enqueue_locked(fiber);
-      break;
-    case FiberState::kParking:
-      // Its carrier is still swapping off the fiber stack and will
-      // enqueue when it observes the state change.
-      fiber->state = FiberState::kReady;
-      break;
-    default:
-      fiber->notify_pending = true;
-      break;
+  FiberState state = fiber->state.load();
+  for (;;) {
+    SKIL_ASSERT(state == FiberState::kRunning ||
+                    state == FiberState::kParking ||
+                    state == FiberState::kParked,
+                "executor: wake of a fiber that waits on nothing");
+    const FiberState next = state == FiberState::kRunning
+                                ? FiberState::kNotified
+                                : FiberState::kReady;
+    if (fiber->state.compare_exchange_weak(state, next)) break;
   }
+  // kParking: its carrier is still swapping off the fiber stack and
+  // enqueues it when its own CAS fails.  kRunning: park_current returns
+  // at once.
+  if (state != FiberState::kParked) return;
+  if (ProfRegistry* const prof = prof_registry();
+      prof != nullptr && fiber->home < prof->n) [[unlikely]]
+    prof->carriers[fiber->home].unparks.fetch_add(1, std::memory_order_relaxed);
+  enqueue(fiber);
 }
 
 void Scheduler::finish_current() {
   Fiber* fiber = current_fiber_slot();
   RunState* run = fiber->run;
-  bool last = false;
-  {
-    const std::scoped_lock lock(mutex_);
-    fiber->state = FiberState::kFinished;
-    --live_;
-    last = live_ == 0;
-  }
-  if (last) {
+  fiber->state.store(FiberState::kFinished);
+  if (live_.fetch_sub(1) == 1) {
     const std::scoped_lock lock(run->done_mutex);
     run->done = true;
     run->done_cv.notify_one();
@@ -583,7 +627,7 @@ std::exception_ptr Scheduler::run(
     std::unique_lock lock(mutex_);
     if (workers_.empty()) spawn_workers_locked();
     const int carriers = static_cast<int>(workers_.size());
-    live_ = static_cast<int>(procs.size());
+    live_.store(static_cast<int>(procs.size()));
     current_run_ = &run;
     for (const auto& proc : procs) {
       Fiber* fiber;
@@ -600,8 +644,7 @@ std::exception_ptr Scheduler::run(
       }
       fiber->run = &run;
       fiber->proc = proc.get();
-      fiber->state = FiberState::kReady;
-      fiber->notify_pending = false;
+      fiber->state.store(FiberState::kReady);
       fiber->ran_before = false;
       fiber->home = proc->id() % carriers;
       fiber->asan_fake_stack = nullptr;
@@ -610,9 +653,13 @@ std::exception_ptr Scheduler::run(
       fiber->context.uc_stack.ss_size = kFiberStackBytes;
       fiber->context.uc_link = nullptr;
       makecontext(&fiber->context, fiber_trampoline, 0);
-      queues_[static_cast<std::size_t>(fiber->home)].push_back(fiber);
-      ++ready_count_;
+      RunQueue& queue = queues_[static_cast<std::size_t>(fiber->home)];
+      const std::scoped_lock queue_lock(queue.mutex);
+      queue.fibers.push_back(fiber);
     }
+    // The carriers admit themselves under mutex_, which this thread
+    // holds, so they see every fiber queued before ready_ counts one.
+    ready_.fetch_add(static_cast<int>(procs.size()));
     work_cv_.notify_all();
   }
 

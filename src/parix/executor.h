@@ -13,16 +13,21 @@
 //
 // Blocked-forever programs cannot rely on the mailbox receive timeout
 // here (a parked fiber consumes no thread), so the scheduler detects
-// quiescence -- every live fiber parked, nothing ready, nothing
-// running -- and poisons the machine's mailboxes, turning a deadlock
-// into the same RuntimeFault the threads engine raises on timeout.
+// quiescence -- every carrier idle and nothing queued, hence every
+// live fiber parked -- and poisons the machine's mailboxes, turning a
+// deadlock into the same RuntimeFault the threads engine raises on
+// timeout.
 //
 // The pool runs N *carrier* threads (SKIL_CARRIERS, default the
-// host's hardware concurrency) with one run queue per carrier and
-// work stealing between them; a fiber is driven by one carrier at a
-// time, which preserves the trace layer's lock-free per-proc buffer
-// invariant.  Carriers only run fibers: each processor settles its
-// own deferred charge ledger inline (charge_tape.h).
+// host's hardware concurrency) with one run queue per carrier, each
+// under its own lock, and work stealing between them.  Park and wake
+// change a fiber's state by compare-and-swap, so dispatch, park and
+// wake take no pool-wide lock; the scheduler's one mutex serves only
+// the pool's lifecycle, the fiber free list, idle sleep and quiescence
+// detection.  A fiber is driven by one carrier at a time, which
+// preserves the trace layer's lock-free per-proc buffer invariant.
+// Carriers only run fibers: each processor settles its own deferred
+// charge ledger inline (charge_tape.h).
 //
 // Virtual time is engine-independent by construction: it derives only
 // from charged operation counts and (src, tag)-matched message
@@ -52,8 +57,7 @@ int executor_carriers();
 
 /// Overrides the carrier count for subsequent pooled runs (0 restores
 /// the SKIL_CARRIERS / hardware_concurrency default).  Tears down the
-/// current pool -- the next run respawns it at the new width, and
-/// SKIL_CARRIERS=1 reproduces the PR 3 single-queue behaviour.  Must
+/// current pool -- the next run respawns it at the new width.  Must
 /// not be called from inside a run.
 void executor_set_carriers(int n);
 

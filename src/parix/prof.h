@@ -44,9 +44,10 @@ std::string_view prof_mode_name(ProfMode mode);
 ProfMode default_prof_mode();
 void set_default_prof_mode(ProfMode mode);
 
-/// One carrier thread's counters.  All fields are written by the
-/// owning carrier (or under the scheduler mutex) with relaxed atomics
-/// and read by the aggregator without synchronization: every field is
+/// One carrier thread's counters.  All fields are written with relaxed
+/// atomics on the owning carrier's thread (`parks` by the fiber it
+/// runs, `unparks` by whichever thread wakes a fiber homed there) and
+/// read by the aggregator without synchronization: every field is
 /// monotone, so a torn read across fields is harmless and a per-field
 /// relaxed read is exact.
 struct alignas(64) CarrierCounters {
@@ -55,7 +56,7 @@ struct alignas(64) CarrierCounters {
   std::atomic<std::uint64_t> steal_attempts{0};   ///< probes of a non-home queue
   std::atomic<std::uint64_t> steal_successes{0};  ///< fibers taken from a non-home queue
   std::atomic<std::uint64_t> steal_failed_rounds{0};  ///< full sweeps that found nothing
-  std::atomic<std::uint64_t> parks{0};            ///< kParking -> kParked transitions
+  std::atomic<std::uint64_t> parks{0};            ///< kRunning -> kParking transitions
   std::atomic<std::uint64_t> unparks{0};          ///< kParked -> ready wakeups
   std::atomic<std::uint64_t> run_ns{0};           ///< host ns inside fiber context switches
 };

@@ -10,8 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
-#include <optional>
 #include <string_view>
 
 namespace skil::support {
@@ -32,17 +30,6 @@ Enum parse_knob(std::string_view var, std::string_view what,
                 std::string_view name,
                 const std::string_view (&accepted)[N]) {
   return static_cast<Enum>(parse_knob_choice(var, what, name, accepted, N));
-}
-
-/// Reads `var` from the environment; empty optional when unset,
-/// otherwise the strictly parsed value (throws on junk, same as
-/// parse_knob).
-template <class Enum, std::size_t N>
-std::optional<Enum> env_knob(const char* var, std::string_view what,
-                             const std::string_view (&accepted)[N]) {
-  if (const char* value = std::getenv(var))
-    return parse_knob<Enum>(var, what, value, accepted);
-  return std::nullopt;
 }
 
 }  // namespace skil::support

@@ -123,7 +123,9 @@ TEST(FArray, GenMultMatchesOracle) {
                                            Distr::kTorus2D);
     const auto b = dpfl::fa_create<double>(proc, 2, Size{8, 8}, init_b,
                                            Distr::kTorus2D);
-    const auto c = dpfl::fa_gen_mult(a, b, add, mult);
+    const auto c = dpfl::fa_gen_mult(
+        a, b, [](double x, double y) { return x + y; },
+        [](double x, double y) { return x * y; });
     const auto got = dpfl::fa_gather_all(c);
     const auto expected = support::seq_matmul(support::random_dense(8, 8, 5),
                                               support::random_dense(8, 8, 6));

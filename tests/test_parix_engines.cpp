@@ -1,15 +1,18 @@
 // Tests for the execution engines: the RunConfig engine override,
-// bulk-charge identity, deadlock detection, nested runs, and the
+// bulk-charge identity, the pooled scheduler's deadlock detection and
+// park/wake protocol at several carrier counts, nested runs, and the
 // templated spmd_run overload.  That both engines reproduce every
 // pinned virtual time is checked by ctest's goldens.defaults and
 // goldens.threads (tests/goldens/vtimes.json).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <vector>
 
 #include "apps/gauss.h"
 #include "apps/shortest_paths.h"
+#include "apps/stencil_jacobi.h"
 #include "parix/runtime.h"
 #include "support/error.h"
 #include "with_knobs.h"
@@ -19,7 +22,13 @@ namespace {
 using namespace skil;
 using namespace skil::parix;
 
+using skil::testing::with_carriers;
 using skil::testing::with_engine;
+
+// Carrier counts the pooled-scheduler tests run at: one carrier (no
+// stealing), two, four, and eight, which exceeds a 4-thread host's
+// admission cap so that standby carriers take part.
+constexpr int kCarrierCounts[] = {1, 2, 4, 8};
 
 // --- differential determinism ---------------------------------------------
 
@@ -63,14 +72,70 @@ TEST(ChargeElems, BitIdenticalToPlainCharge) {
 
 TEST(PooledEngine, DetectsAllProcessorsBlockedAsDeadlock) {
   // Both processors wait for a message nobody sends.  The pooled
-  // scheduler sees every live fiber parked and poisons the machine
-  // instead of hanging until the mailbox timeout.
+  // scheduler sees every carrier idle with nothing queued, so every
+  // live fiber is parked, and poisons the machine instead of hanging
+  // until the mailbox timeout.
   RunConfig config{2, CostModel::t800(), ExecutionEngine::kPooled};
-  EXPECT_THROW(spmd_run(config,
-                        [](Proc& proc) {
-                          proc.recv<int>(1 - proc.id(), 42);
-                        }),
-               support::RuntimeFault);
+  for (const int carriers : kCarrierCounts) {
+    SCOPED_TRACE(carriers);
+    EXPECT_THROW(with_carriers(carriers,
+                               [&] {
+                                 return spmd_run(config, [](Proc& proc) {
+                                   proc.recv<int>(1 - proc.id(), 42);
+                                 });
+                               }),
+                 support::RuntimeFault);
+  }
+}
+
+TEST(PooledEngine, LateSenderIsNotADeadlock) {
+  // Processor 0 first collects one message from every other processor,
+  // so all of them are parked in recv, then busy-loops on the host
+  // before it answers.  Its carrier runs it the whole time, so the
+  // other carriers going idle must not call the machine deadlocked.
+  const RunConfig threads_config{4, CostModel::t800(),
+                                 ExecutionEngine::kThreads};
+  const RunConfig pooled_config{4, CostModel::t800(), ExecutionEngine::kPooled};
+  const auto body = [](Proc& proc) {
+    if (proc.id() == 0) {
+      for (int src = 1; src < proc.nprocs(); ++src) proc.recv<int>(src, 1);
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      for (int dest = 1; dest < proc.nprocs(); ++dest)
+        proc.send<int>(dest, 2, 10 * dest);
+    } else {
+      proc.send<int>(0, 1, proc.id());
+      EXPECT_EQ(proc.recv<int>(0, 2), 10 * proc.id());
+    }
+  };
+  const RunResult threads = spmd_run(threads_config, body);
+  for (const int carriers : kCarrierCounts) {
+    SCOPED_TRACE(carriers);
+    const RunResult pooled =
+        with_carriers(carriers, [&] { return spmd_run(pooled_config, body); });
+    EXPECT_EQ(pooled.proc_vtimes, threads.proc_vtimes);
+  }
+}
+
+TEST(PooledEngine, StencilParkWakeStressMatchesThreads) {
+  // The stencil parks most: 64 fibers exchange one halo row with each
+  // neighbour per step, so every step parks and wakes most of them.
+  // Temperatures and per-processor vtimes must equal the threads
+  // engine's at every carrier count.
+  const auto stencil = [] { return apps::stencil_jacobi(64, 1024, 200); };
+  const apps::StencilResult threads =
+      with_engine(ExecutionEngine::kThreads, stencil);
+  ASSERT_FALSE(threads.temps.empty());
+  for (const int carriers : kCarrierCounts) {
+    SCOPED_TRACE(carriers);
+    const apps::StencilResult pooled = with_carriers(carriers, [&] {
+      return with_engine(ExecutionEngine::kPooled, stencil);
+    });
+    EXPECT_EQ(pooled.temps, threads.temps);
+    EXPECT_EQ(pooled.run.proc_vtimes, threads.run.proc_vtimes);
+  }
 }
 
 TEST(PooledEngine, SurvivesManyMoreProcessorsThanHostThreads) {

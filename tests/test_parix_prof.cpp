@@ -49,16 +49,6 @@ auto with_prof_mode(parix::ProfMode mode, Fn&& fn) {
   return result;
 }
 
-/// Runs `fn` with the pooled engine pinned to `n` carriers, restoring
-/// the env-resolved default afterwards.
-template <class Fn>
-auto with_carriers(int n, Fn&& fn) {
-  parix::executor_set_carriers(n);
-  auto result = fn();
-  parix::executor_set_carriers(0);
-  return result;
-}
-
 TEST(ProfMode, ParsesAcceptedNames) {
   EXPECT_EQ(parix::parse_prof_mode("off"), parix::ProfMode::kOff);
   EXPECT_EQ(parix::parse_prof_mode("counters"), parix::ProfMode::kCounters);

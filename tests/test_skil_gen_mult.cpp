@@ -135,7 +135,7 @@ TEST_P(GenMult, MinPlusSaturatesLikeAWideSum) {
     const auto fb = dpfl::fa_create<std::uint32_t>(proc, 2, Size{n, n}, init_b,
                                                    Distr::kTorus2D);
     const std::vector<std::uint32_t> got =
-        dpfl::fa_gather_root(dpfl::fa_gen_mult_taped(fa, fb, add, mult));
+        dpfl::fa_gather_root(dpfl::fa_gen_mult(fa, fb, add, mult));
     if (proc.id() == 0) {
       EXPECT_EQ(got, expected.storage());
     }

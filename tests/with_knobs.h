@@ -5,6 +5,7 @@
 
 #include "parix/charge_tape.h"
 #include "parix/coll.h"
+#include "parix/executor.h"
 #include "parix/runtime.h"
 
 namespace skil::testing {
@@ -34,6 +35,18 @@ auto with_coll_mode(parix::CollMode mode, Fn&& fn) {
   auto result = fn();
   parix::set_default_coll_mode(saved);
   return result;
+}
+
+/// Runs `fn` with the pooled engine pinned to `n` carriers, restoring
+/// the env-resolved default afterwards, also when `fn` throws.
+template <class Fn>
+auto with_carriers(int n, Fn&& fn) {
+  struct Restore {
+    ~Restore() { parix::executor_set_carriers(0); }
+  };
+  parix::executor_set_carriers(n);
+  const Restore restore;
+  return fn();
 }
 
 }  // namespace skil::testing
